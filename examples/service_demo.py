@@ -78,22 +78,14 @@ share one port via ``SO_REUSEPORT``, coordinate *only* through the store
 (advisory job leases -- two front-ends never run the same shard), and
 any process answers ``GET /v1/campaign/<id>`` for any job.
 
-Zero-copy sharded campaigns
----------------------------
+Sharded campaigns
+-----------------
 Campaigns sharded across process workers (``--campaign-workers N`` here,
-``--jobs N`` on ``python -m repro fleet``) default to a shared-memory
-transport wherever the platform provides it: workers write each cell's
-column arrays straight into a ``multiprocessing.shared_memory`` segment
-and return only a tiny descriptor over the executor pipe, the campaign
-context (trace, config, policies) ships once per worker instead of once
-per task, and the parent rebuilds the merged
-:class:`~repro.simulation.fleet.FleetResult` as zero-copy NumPy views.
-``--shared-memory {auto,on,off}`` controls it: ``auto`` (default) probes
-for usable segments and quietly degrades to the plain pickle round trip
-when there are none (no ``/dev/shm``, locked-down containers), ``on``
-requires the arena (failing loudly where it cannot work), ``off`` forces
-pickle.  Both transports produce results identical to the single-process
-run to 1e-9 -- including sampled-mode RNG streams, bit for bit.
+``--jobs N`` on ``python -m repro fleet``) move their data over the
+executor pipe by pickle, and reproduce the single-process run to 1e-9 --
+including sampled-mode RNG streams, bit for bit.  The campaign context
+(trace, config, policies) is pickled once per campaign and unpickled once
+per worker, not once per task.
 
 Observing the service
 ---------------------
@@ -124,7 +116,7 @@ Everything the service does is observable without third-party tooling
   5m/1h error-budget burn rates (burn 1.0 = spending budget exactly at
   the sustainable rate).
 * **Campaign profiles.**  Finished campaigns report per-phase wall-clock
-  timings (harvest, scan settle, cell solves, arena pack, merge) on the
+  timings (harvest, scan settle, cell solves, merge) on the
   status payload; ``python -m repro fleet --profile`` writes the same
   breakdown for local runs.
 
@@ -155,8 +147,7 @@ engine and cache keys), so mixing backends against one service is safe.
 
 Run with:  python examples/service_demo.py [--requests N] [--window-ms W]
            [--workers N] [--backend numpy|compiled|float32]
-           [--campaign] [--binary] [--campaign-workers N]
-           [--shared-memory auto|on|off] [--durable]
+           [--campaign] [--binary] [--campaign-workers N] [--durable]
 """
 
 from __future__ import annotations
@@ -331,13 +322,7 @@ def main() -> None:
                              "columnar frames instead of NDJSON")
     parser.add_argument("--campaign-workers", type=int, default=1,
                         help="process workers for --campaign fleet studies "
-                             "(N > 1 shards the grid and exercises the "
-                             "shared-memory arena)")
-    parser.add_argument("--shared-memory", choices=["auto", "on", "off"],
-                        default="auto",
-                        help="worker transport for sharded campaigns: auto "
-                             "probes /dev/shm, on requires the zero-copy "
-                             "arena, off forces pickle")
+                             "(N > 1 shards the grid across processes)")
     parser.add_argument("--durable", action="store_true",
                         help="also run the kill-and-recover walkthrough: "
                              "SIGKILL a --store server mid-campaign and "
@@ -348,9 +333,6 @@ def main() -> None:
         window_s=args.window_ms / 1000.0, workers=args.workers,
         campaign_workers=args.campaign_workers,
         default_backend=args.backend,
-        shared_memory={"auto": None, "on": True, "off": False}[
-            args.shared_memory
-        ],
     )
     with start_in_thread(service) as server:
         print(f"Allocation service listening on {server.base_url}")

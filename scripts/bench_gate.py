@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """CI perf-regression gate: run the benchmarks, record and assert speedups.
 
-Runs the eight performance benchmarks (batch sweep, fleet campaign,
-allocation service, planning scan, kernel backends + wire format, shard
-transports, store journaling overhead, cluster-observability overhead)
+Runs the seven performance benchmarks (batch sweep, fleet campaign,
+allocation service, planning scan, kernel backends + wire format, store
+journaling overhead, cluster-observability overhead)
 on a reduced grid sized for CI runners, collects the wall times and
 speedups they emit under ``benchmarks/output/``, re-asserts the speedup
 floors, and writes everything to one JSON trajectory file
@@ -45,7 +45,6 @@ BENCH_FILES = [
     "benchmarks/bench_service.py",
     "benchmarks/bench_planning.py",
     "benchmarks/bench_kernels.py",
-    "benchmarks/bench_shard.py",
     "benchmarks/bench_store.py",
     "benchmarks/bench_obs.py",
 ]
@@ -79,8 +78,6 @@ GATES = [
     ("kernels_solve.csv", "compiled solve", "speedup_x", 1.5),
     ("kernels_battery.csv", "compiled settle", "speedup_x", 3.0),
     ("columns_wire.csv", "binary f8", "size_ratio_x", 5.0),
-    ("shard_ipc.csv", "arena ipc", "payload_ratio_x", 2.0),
-    ("shard_wall.csv", "arena wall", "speedup_vs_pickle", 0.85),
     ("store_overhead.csv", "journaled campaign", "speedup_vs_plain", 0.9),
     ("obs_overhead.csv", "with observability", "speedup_vs_plain", 0.95),
 ]

@@ -418,7 +418,6 @@ def run_fleet_campaign_experiment(
     forecast_noise: float = 0.2,
     forecast_seed: int = 7,
     backend: str = "numpy",
-    shared_memory: Optional[bool] = None,
 ) -> ExperimentResult:
     """Fleet study: (scenario x policy x alpha) campaign grid in one run.
 
@@ -432,9 +431,7 @@ def run_fleet_campaign_experiment(
     lookahead and forecast provider.  One row per (scenario, policy) cell.
     ``jobs > 1`` shards the grid across worker processes via
     :func:`repro.service.shard.run_sharded_campaign`; the merged rows match
-    the single-process run to floating-point round-off.  ``shared_memory``
-    picks the worker transport for that sharded path (``None`` auto-detects
-    the zero-copy shared-memory arena, ``False`` forces pickle).
+    the single-process run to floating-point round-off.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -492,7 +489,6 @@ def run_fleet_campaign_experiment(
             CampaignConfig(use_battery=use_battery, backend=backend),
             scenario_labels=labels,
             jobs=jobs,
-            shared_memory=shared_memory,
         )
     else:
         fleet = FleetCampaign(

@@ -266,10 +266,6 @@ def _command_fleet_remote(args: argparse.Namespace) -> int:
     return 0
 
 
-#: CLI spelling -> run_sharded_campaign's Optional[bool] transport switch.
-_SHARED_MEMORY_MODES = {"auto": None, "on": True, "off": False}
-
-
 def _write_profile(path: str, phases: Dict[str, float]) -> None:
     """Write ``repro fleet --profile`` per-phase timings as JSON."""
     import json
@@ -326,7 +322,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
         forecast_noise=args.forecast_noise,
         forecast_seed=args.forecast_seed,
         backend=args.backend,
-        shared_memory=_SHARED_MEMORY_MODES[args.shared_memory],
     )
     print(result.to_text())
     engine = (
@@ -508,12 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
              "engine; N: shard via repro.service.shard)",
     )
     fleet_parser.add_argument(
-        "--shared-memory", choices=["auto", "on", "off"], default="auto",
-        help="worker transport for --jobs N: auto probes /dev/shm and uses "
-             "the zero-copy shared-memory arena when available, on requires "
-             "it, off forces the pickle round-trip",
-    )
-    fleet_parser.add_argument(
         "--remote", default=None, metavar="HOST:PORT",
         help="submit the study to a running allocation service instead of "
              "simulating locally (POST /campaign; columns stream back as "
@@ -533,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", nargs="?", const="profile.json", default=None,
         metavar="PATH",
         help="write per-phase campaign timings (harvest, cell solve, scan "
-             "settle, arena pack, merge, ...) as JSON to PATH "
+             "settle, merge, ...) as JSON to PATH "
              "(default: profile.json); works locally and with --remote",
     )
     fleet_parser.add_argument("--csv", default=None,
@@ -630,12 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
              "fallback) or float32",
     )
     serve_parser.add_argument(
-        "--shared-memory", choices=["auto", "on", "off"], default="auto",
-        help="worker transport for sharded POST /campaign runs: auto "
-             "probes /dev/shm and uses the zero-copy shared-memory arena "
-             "when available, on requires it, off forces pickle",
-    )
-    serve_parser.add_argument(
         "--log-format", choices=["text", "json"], default="text",
         help="request/span log lines: human-readable text or one JSON "
              "object per line (each carries the trace_id)",
@@ -712,7 +695,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         campaign_workers=args.campaign_workers,
         backend=args.backend,
-        shared_memory=_SHARED_MEMORY_MODES[args.shared_memory],
         log_format=args.log_format,
         slo_ms=dict(slo_ms) if slo_ms else None,
     )

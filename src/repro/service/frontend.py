@@ -53,8 +53,7 @@ class FrontendConfig:
     The multi-process path ships this to ``spawn``-context children, so
     it must stay plain data: strings, numbers, ``None`` -- no sockets,
     services or parsed objects.  ``slo_ms`` is the parsed spec (a plain
-    dict survives pickling fine); ``shared_memory`` is the
-    ``Optional[bool]`` transport switch.
+    dict survives pickling fine).
     """
 
     host: str = "127.0.0.1"
@@ -69,7 +68,6 @@ class FrontendConfig:
     workers: int = 1
     campaign_workers: Optional[int] = None
     backend: str = "numpy"
-    shared_memory: Optional[bool] = None
     log_format: str = "text"
     slo_ms: Optional[Dict[str, float]] = field(default=None)
 
@@ -96,7 +94,6 @@ def build_service(config: FrontendConfig) -> Any:
         workers=config.workers,
         campaign_workers=config.campaign_workers,
         default_backend=config.backend,
-        shared_memory=config.shared_memory,
         slo_ms=config.slo_ms,
         store=store,
     )

@@ -320,7 +320,6 @@ class WorkerPool:
         trace,
         config=None,
         scenario_labels=None,
-        shared_memory=None,
         completed=None,
         on_shard_done=None,
         shards=None,
@@ -330,11 +329,9 @@ class WorkerPool:
         Delegates to :func:`repro.service.shard.run_sharded_campaign` with
         this pool's persistent executor (``campaign_workers=1`` runs the
         plain in-process fleet engine); results are identical to the
-        single-process run to floating-point round-off.  ``shared_memory``
-        selects the worker transport (``None`` auto-detects the
-        shared-memory arena; see the shard runner).  The persistent pool's
-        workers keep their engine and campaign-context caches warm across
-        campaigns.
+        single-process run to floating-point round-off.  The persistent
+        pool's workers keep their engine and campaign-context caches warm
+        across campaigns.
 
         ``completed``/``on_shard_done`` are the durable-store hooks (skip
         journaled cells, journal each shard as it lands -- see the shard
@@ -355,7 +352,6 @@ class WorkerPool:
             scenario_labels=scenario_labels,
             jobs=shards if shards is not None else self.campaign_workers,
             executor=self._ensure_campaign_executor(),
-            shared_memory=shared_memory,
             completed=completed,
             on_shard_done=on_shard_done,
         )

@@ -79,14 +79,12 @@ Endpoints (shown unversioned; prefix with ``/v1`` for the stable API)
     format instead (length-prefixed zlib-deflated frames, see
     :meth:`repro.simulation.fleet.FleetResult.to_binary_frames`);
     ``?format=binary&dtype=f4`` sends float32 frames and
-    ``?format=binary&codec=raw`` skips compression -- for arena-backed
-    results the raw stream is zero-copy ``memoryview`` slices of the
-    shared-memory pages the workers wrote.  NDJSON stays the default;
-    unknown ``format``/``dtype``/``codec`` values answer 400.
+    ``?format=binary&codec=raw`` skips compression -- the raw stream is
+    zero-copy ``memoryview`` slices of the retained columns.  NDJSON stays
+    the default; unknown ``format``/``dtype``/``codec`` values answer 400.
 ``DELETE /campaign/<id>``
-    Drop a finished campaign and free its retained columns (including any
-    shared-memory arena blocks backing them); the id 404s afterwards.
-    Pending/running jobs answer 409.
+    Drop a finished campaign and free its retained columns; the id 404s
+    afterwards.  Pending/running jobs answer 409.
 
 ``/stats`` additionally reports per-endpoint latency histograms
 (p50/p95/p99) under ``"endpoints"``, labelled by route pattern.
@@ -245,7 +243,6 @@ class AllocationService:
         campaign_workers: Optional[int] = None,
         max_campaigns: int = 64,
         default_backend: str = "numpy",
-        shared_memory: Optional[bool] = None,
         slo_ms: Optional[Mapping[str, float]] = None,
         store: Optional[Any] = None,
     ) -> None:
@@ -297,10 +294,6 @@ class AllocationService:
             ("phase",),
         )
         self._register_metrics()
-        #: Worker transport for sharded campaigns: ``None`` auto-detects
-        #: the shared-memory arena, ``False`` forces pickle, ``True``
-        #: requires shared memory (see :mod:`repro.service.shard`).
-        self.shared_memory = shared_memory
         #: Retained campaign jobs; finished ones beyond ``max_campaigns``
         #: are evicted oldest-first (a month-long grid's columns are big --
         #: unbounded retention would leak a long-running service to death).
@@ -651,9 +644,7 @@ class AllocationService:
             for job in self._campaigns.values()
             if job.status in CampaignResponse.TERMINAL_STATUSES
         ][:overflow]:
-            evicted = self._campaigns.pop(campaign_id)
-            if evicted.result is not None:
-                evicted.result.release()  # free any arena mappings now
+            del self._campaigns[campaign_id]
 
     def _durable_shards(self) -> int:
         """Chunk count for journaled campaigns.
@@ -709,7 +700,6 @@ class AllocationService:
                     trace,
                     config,
                     scenario_labels=labels,
-                    shared_memory=self.shared_memory,
                     completed=completed,
                     on_shard_done=on_shard_done,
                     shards=shards,
@@ -894,8 +884,6 @@ class AllocationService:
         del self._campaigns[campaign_id]
         if self.store is not None:
             self.store.delete(campaign_id)
-        if job.result is not None:
-            job.result.release()  # drop shared-memory mappings with the job
         return job
 
     def _campaign_counts(self) -> Dict[str, int]:
@@ -918,7 +906,6 @@ class AllocationService:
 
     def health(self) -> Dict[str, Any]:
         """Payload of ``GET /healthz``: liveness plus deployment facts."""
-        shared = {None: "auto", True: "on", False: "off"}[self.shared_memory]
         return {
             "status": "ok",
             "version": __version__,
@@ -927,7 +914,6 @@ class AllocationService:
             "workers": self.pool.workers,
             "campaign_workers": self.pool.campaign_workers,
             "backend": self.registry.default_backend,
-            "shared_memory": shared,
             "store": None if self.store is None else self.store.path,
             "engines": len(self.registry),
         }
@@ -1393,7 +1379,7 @@ class AllocationServer:
         One HTTP chunk per frame, drained as produced -- mirrors
         :meth:`_write_stream`, with ``application/octet-stream`` bytes in
         place of NDJSON lines.  Frames may be ``memoryview`` slices of
-        shared-memory pages (the zero-copy raw codec): sizes come from
+        the retained columns (the zero-copy raw codec): sizes come from
         ``nbytes`` (``len`` of a non-byte view counts elements) and each
         piece is written separately -- concatenating would both copy and
         raise (``bytes + memoryview`` is a ``TypeError``).

@@ -19,26 +19,23 @@ instead: each worker simulates a contiguous trace slice and the per-cell
 sampled-mode campaigns are excluded from time sharding because the battery
 recurrence and the Bernoulli stream are sequential in time.
 
-Two transports move data between parent and workers:
+Parent and workers talk over the executor pipe by pickle.  The campaign
+context (scenarios, labels, config, policies, trace) is pickled *once*
+per campaign in the parent and travels with every task as bytes; each
+worker unpickles it once per context digest and keeps it in a small
+cache (:func:`_load_context`), so a persistent pool serving repeated
+campaigns pays the unpickle once per worker rather than once per task.
+Results come back pickled through the executor's result pipe.
 
-* **Shared memory** (the default wherever ``/dev/shm``-style segments
-  work, see :mod:`repro.service.arena`): the campaign context (scenarios,
-  config, policies, trace) is pickled *once* into a segment every worker
-  maps and caches, each worker writes its cells' column frames straight
-  into a per-task arena segment, and only tiny descriptors cross the
-  executor pipe.  The parent rebuilds the grid as zero-copy NumPy views
-  over the attached (and immediately unlinked) segments.
-* **Pickle** (``shared_memory=False`` or unavailable): everything travels
-  through the executor's result pipe as before -- same results, more
-  copying.
-
-Both transports reproduce the single-process run exactly: cell identity is
-preserved (each cell's device simulator re-seeds from the same
+The sharded run reproduces the single-process run exactly: cell identity
+is preserved (each cell's device simulator re-seeds from the same
 ``DeviceConfig``), so even sampled-mode RNG streams match bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -47,7 +44,6 @@ from repro.harvesting.solar_cell import HarvestScenario
 from repro.harvesting.traces import SolarTrace
 from repro.obs import tracing
 from repro.obs.profiling import PhaseProfiler
-from repro.service import arena
 from repro.simulation.fleet import CampaignConfig, FleetCampaign, FleetResult
 from repro.simulation.metrics import CampaignColumns, CampaignResult
 from repro.simulation.policies import Policy
@@ -98,6 +94,46 @@ def _cell_groups(
     return groups
 
 
+#: A campaign context pickled once in the parent: (digest, blob).
+PackedContext = Tuple[str, bytes]
+
+#: Worker-side cache of unpickled campaign contexts, keyed by blob digest.
+#: Module-level because a pool worker keeps nothing else between tasks.
+#: Bounded so a long-lived pool serving many distinct campaigns cannot grow
+#: it without limit.
+_CONTEXT_CACHE: Dict[str, tuple] = {}
+_MAX_CACHED_CONTEXTS = 4
+
+
+def _pack_context(context: tuple) -> PackedContext:
+    """Pickle a campaign context once and key it by its digest (parent side).
+
+    The blob travels with every task; the digest lets each worker skip
+    the unpickle for a context it already holds (see
+    :func:`_load_context`).
+    """
+    blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(blob).hexdigest(), blob
+
+
+def _load_context(packed: PackedContext) -> tuple:
+    """Unpickle and cache one packed context (worker side).
+
+    The first task of a campaign in each worker pays one unpickle;
+    later tasks -- and later campaigns with identical inputs -- hit the
+    cache.
+    """
+    digest, blob = packed
+    cached = _CONTEXT_CACHE.get(digest)
+    if cached is not None:
+        return cached
+    context = pickle.loads(blob)
+    while len(_CONTEXT_CACHE) >= _MAX_CACHED_CONTEXTS:
+        _CONTEXT_CACHE.pop(next(iter(_CONTEXT_CACHE)))
+    _CONTEXT_CACHE[digest] = context
+    return context
+
+
 def _simulate_cell_chunk(
     scenarios: Sequence[HarvestScenario],
     labels: Sequence[str],
@@ -107,7 +143,7 @@ def _simulate_cell_chunk(
     chunk: Sequence[Tuple[int, int]],
     profiler: Optional[PhaseProfiler] = None,
 ) -> List[Tuple[int, int, CampaignResult]]:
-    """Simulate one chunk of (scenario, policy) cells (both transports).
+    """Simulate one chunk of (scenario, policy) cells.
 
     ``profiler`` accumulates the fleet pipeline's per-phase timings
     across the chunk's scenario groups.
@@ -125,7 +161,6 @@ def _simulate_cell_chunk(
 
 def _shard_span(
     trace_ctx: Optional[tracing.SpanContext],
-    transport: str,
     work: Callable[[PhaseProfiler], Any],
 ) -> Tuple[Any, Dict[str, float], List[Dict[str, Any]]]:
     """Worker-side harness: run ``work`` under a ``campaign.shard`` span.
@@ -141,59 +176,28 @@ def _shard_span(
     if trace_ctx is None:
         return work(profiler), profiler.as_dict(), []
     with tracing.capture_spans() as captured:
-        with tracing.span("campaign.shard", parent=trace_ctx, transport=transport):
+        with tracing.span("campaign.shard", parent=trace_ctx):
             result = work(profiler)
     return result, profiler.as_dict(), captured
 
 
 def _run_cell_shard(
-    scenarios: Sequence[HarvestScenario],
-    labels: Sequence[str],
-    config: CampaignConfig,
-    policies: Sequence[Policy],
-    trace: SolarTrace,
+    packed: PackedContext,
     chunk: Sequence[Tuple[int, int]],
     trace_ctx: Optional[tracing.SpanContext] = None,
 ) -> Tuple[List[Tuple[int, int, CampaignResult]], Dict[str, float], List[Dict[str, Any]]]:
-    """Worker (pickle transport): simulate a chunk, return full results."""
+    """Worker: simulate a chunk of cells, return their full results.
+
+    The trace context travels as a per-task argument, *not* inside the
+    packed context -- the context is digest-cached across campaigns, and
+    a trace id baked into it would defeat the cache.
+    """
+    scenarios, labels, config, policies, trace = _load_context(packed)
     return _shard_span(
         trace_ctx,
-        "pickle",
         lambda profiler: _simulate_cell_chunk(
             scenarios, labels, config, policies, trace, chunk, profiler
         ),
-    )
-
-
-def _run_cell_shard_arena(
-    context_ref: arena.ContextRef,
-    chunk: Sequence[Tuple[int, int]],
-    trace_ctx: Optional[tracing.SpanContext],
-    segment_name: str,
-) -> arena.ArenaShard:
-    """Worker (arena transport): simulate a chunk into shared memory.
-
-    The campaign context comes out of the worker's blob cache (one
-    unpickle per worker per campaign, not per task); the finished columns
-    go straight into ``segment_name`` and only the descriptor returns.
-    The trace context travels as a per-task argument, *not* inside the
-    context blob -- the blob is digest-cached across campaigns, and a
-    trace id baked into it would defeat the cache.
-    """
-    scenarios, labels, config, policies, trace = arena.load_context(context_ref)
-
-    def work(profiler: PhaseProfiler) -> arena.ArenaShard:
-        cells = _simulate_cell_chunk(
-            scenarios, labels, config, policies, trace, chunk, profiler
-        )
-        with profiler.phase("arena_pack"):
-            return arena.write_cells(segment_name, cells)
-
-    shard, phases, spans = _shard_span(trace_ctx, "arena", work)
-    return replace(
-        shard,
-        phase_s=tuple(sorted(phases.items())),
-        spans=tuple(spans),
     )
 
 
@@ -229,16 +233,13 @@ def _simulate_time_slice(
 
 
 def _run_time_shard(
-    scenarios: Sequence[HarvestScenario],
-    labels: Sequence[str],
-    config: CampaignConfig,
-    policies: Sequence[Policy],
-    trace: SolarTrace,
+    packed: PackedContext,
     first_hour: int,
     last_hour: int,
     trace_ctx: Optional[tracing.SpanContext] = None,
 ) -> Tuple[List[List[CampaignColumns]], Dict[str, float], List[Dict[str, Any]]]:
-    """Worker (pickle transport): simulate one trace slice for every cell."""
+    """Worker: simulate one trace slice for every cell."""
+    scenarios, labels, config, policies, trace = _load_context(packed)
 
     def work(profiler: PhaseProfiler) -> List[List[CampaignColumns]]:
         with profiler.phase("cell_solve"):
@@ -246,57 +247,7 @@ def _run_time_shard(
                 scenarios, labels, config, policies, trace, first_hour, last_hour
             )
 
-    return _shard_span(trace_ctx, "pickle", work)
-
-
-def _run_time_shard_arena(
-    context_ref: arena.ContextRef,
-    first_hour: int,
-    last_hour: int,
-    trace_ctx: Optional[tracing.SpanContext],
-    segment_name: str,
-) -> arena.ArenaShard:
-    """Worker (arena transport): simulate one trace slice into shared memory."""
-    scenarios, labels, config, policies, trace = arena.load_context(context_ref)
-
-    def work(profiler: PhaseProfiler) -> arena.ArenaShard:
-        with profiler.phase("cell_solve"):
-            grid = _simulate_time_slice(
-                scenarios, labels, config, policies, trace, first_hour, last_hour
-            )
-        cells: List[Tuple[int, int, CampaignResult]] = []
-        for scenario_index, row in enumerate(grid):
-            for policy_index, columns in enumerate(row):
-                policy = policies[policy_index]
-                cells.append((
-                    scenario_index,
-                    policy_index,
-                    CampaignResult.from_columns(
-                        policy.name, policy.alpha, columns
-                    ),
-                ))
-        with profiler.phase("arena_pack"):
-            return arena.write_cells(segment_name, cells)
-
-    shard, phases, spans = _shard_span(trace_ctx, "arena", work)
-    return replace(
-        shard,
-        phase_s=tuple(sorted(phases.items())),
-        spans=tuple(spans),
-    )
-
-
-def _warm_worker(context_ref: arena.ContextRef) -> None:
-    """Private-pool initializer: preload the campaign context once per worker.
-
-    Best-effort on purpose -- an initializer exception marks the whole
-    pool broken, and the first task loads the context itself on a cache
-    miss anyway.
-    """
-    try:
-        arena.load_context(context_ref)
-    except Exception:
-        pass
+    return _shard_span(trace_ctx, work)
 
 
 def _time_shardable(
@@ -318,58 +269,23 @@ def _time_shardable(
     )
 
 
-def _use_arena(shared_memory: Optional[bool]) -> bool:
-    """Resolve the transport choice: explicit flag, else platform probe."""
-    if shared_memory is None:
-        return arena.arena_available()
-    if shared_memory and not arena.arena_available():
-        raise RuntimeError(
-            "shared-memory transport requested but this platform cannot "
-            "create shared-memory segments; rerun with shared memory off"
-        )
-    return bool(shared_memory)
-
-
-def _map_on_workers(
-    fn: Callable,
-    argument_tuples: Sequence[tuple],
-    jobs: int,
-    executor: Optional[Executor],
-) -> List[Any]:
-    """Map ``fn`` over argument tuples on worker processes.
-
-    Uses the caller's ``executor`` when one is provided (a persistent
-    service pool); otherwise spins up -- and tears down -- a private
-    :class:`ProcessPoolExecutor` sized to the work.  ``chunksize`` is
-    computed explicitly: the default of 1 costs one IPC round trip per
-    task, which swamps thousand-task maps; batching to ~2 chunks per
-    worker keeps dispatch overhead flat while still load-balancing.
-    """
-    workers = max(1, min(jobs, len(argument_tuples)))
-    chunksize = max(1, len(argument_tuples) // (workers * 2))
-    if executor is not None:
-        return list(executor.map(fn, *zip(*argument_tuples), chunksize=chunksize))
-    with ProcessPoolExecutor(max_workers=workers) as own:
-        return list(own.map(fn, *zip(*argument_tuples), chunksize=chunksize))
-
-
 def _run_all_on_workers(
     fn: Callable,
     argument_tuples: Sequence[tuple],
     jobs: int,
     executor: Optional[Executor],
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
     """Run every task and let *all* of them settle before raising.
 
-    The arena transport needs this stronger contract: the parent sweeps
-    pre-assigned segment names after a failure, which is only safe once no
-    worker can still be creating one.  ``executor.map`` raises at the
-    first failed result with later tasks possibly still running; here the
-    first exception is re-raised only after every future is done
-    (not-yet-started tasks are cancelled, running ones finish).
+    Uses the caller's ``executor`` when one is provided (a persistent
+    service pool); otherwise spins up -- and tears down -- a private
+    :class:`ProcessPoolExecutor` sized to the work.  ``executor.map``
+    raises at the first failed result with later tasks possibly still
+    running; here the first exception is re-raised only after every
+    future is done (not-yet-started tasks are cancelled, running ones
+    finish), so a failed campaign leaves no work of its own behind on a
+    shared pool.
 
     ``on_result(task_index, result)`` is invoked on the caller's thread
     for each task result *as it completes* (completion order, hence the
@@ -409,9 +325,7 @@ def _run_all_on_workers(
     if executor is not None:
         return collect([executor.submit(fn, *args) for args in argument_tuples])
     workers = max(1, min(jobs, len(argument_tuples)))
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    ) as own:
+    with ProcessPoolExecutor(max_workers=workers) as own:
         return collect([own.submit(fn, *args) for args in argument_tuples])
 
 
@@ -423,7 +337,6 @@ def run_sharded_campaign(
     scenario_labels: Optional[Sequence[str]] = None,
     jobs: int = 1,
     executor: Optional[Executor] = None,
-    shared_memory: Optional[bool] = None,
     completed: Optional[Dict[Tuple[int, int], CampaignResult]] = None,
     on_shard_done: Optional[
         Callable[[List[Tuple[int, int, CampaignResult]]], None]
@@ -443,13 +356,6 @@ def run_sharded_campaign(
     ``executor`` lets long-running services reuse one persistent process
     pool (e.g. :class:`repro.service.pool.WorkerPool`) across campaigns
     instead of paying process start-up per run; it is never shut down here.
-
-    ``shared_memory`` selects the worker transport: ``None`` (default)
-    auto-detects, ``False`` forces the pickle path, ``True`` requires the
-    shared-memory arena (raising where the platform cannot provide it).
-    Arena-backed results hold OS shared-memory mappings; call
-    :meth:`FleetResult.release` when done with the arrays (dropping the
-    result also releases them, just later, at garbage collection).
 
     ``completed`` and ``on_shard_done`` are the durable-campaign hooks
     (:mod:`repro.service.store`): cells present in ``completed`` -- e.g.
@@ -479,92 +385,23 @@ def run_sharded_campaign(
     trace_ctx = tracing.current_context()
     durable = completed is not None or on_shard_done is not None
     if durable:
-        inline = jobs == 1 and executor is None
         return _run_cell_sharded(
             scenarios, labels, config, policies, trace, jobs, executor,
-            False if inline else _use_arena(shared_memory), trace_ctx,
-            completed=completed, on_shard_done=on_shard_done,
+            trace_ctx, completed=completed, on_shard_done=on_shard_done,
         )
     if jobs == 1 or (num_cells == 1 and not time_shardable):
         return FleetCampaign(
             scenarios, config, scenario_labels=labels
         ).run(policies, trace)
 
-    use_arena = _use_arena(shared_memory)
     if num_cells < jobs and time_shardable and len(trace) >= 2 * jobs:
         return _run_time_sharded(
             scenarios, labels, config, policies, trace, jobs, executor,
-            use_arena, trace_ctx,
+            trace_ctx,
         )
     return _run_cell_sharded(
-        scenarios, labels, config, policies, trace, jobs, executor,
-        use_arena, trace_ctx,
+        scenarios, labels, config, policies, trace, jobs, executor, trace_ctx,
     )
-
-
-def _run_arena_tasks(
-    worker_fn: Callable,
-    task_args: Sequence[tuple],
-    context_payload: tuple,
-    jobs: int,
-    executor: Optional[Executor],
-    profiler: Optional[PhaseProfiler] = None,
-    on_shard: Optional[Callable[[arena.ArenaShard, arena.ArenaBlock], None]] = None,
-) -> Tuple[List[arena.ArenaShard], List[arena.ArenaBlock]]:
-    """Shared arena plumbing: publish context, run tasks, attach results.
-
-    ``task_args`` are per-task argument tuples *without* the leading
-    context ref and trailing segment name; both are injected here so the
-    lifecycle stays in one place: the context segment is always released,
-    and on any failure every pre-assigned result segment is swept once all
-    workers have settled.  Returns the shards and their attached (already
-    unlinked) blocks.  Each shard is attached -- and handed to
-    ``on_shard`` -- as soon as its worker finishes, so callers can process
-    (e.g. journal) completed shards while others still run.  ``profiler``
-    times the parent-side transport phases (``context_publish``,
-    ``arena_attach``) and absorbs each shard's worker-side phases; worker
-    span records are ingested into the parent's trace recorder here.
-    """
-    if profiler is None:
-        profiler = PhaseProfiler()
-    with profiler.phase("context_publish"):
-        context = arena.publish_context(context_payload)
-    names = [arena.new_segment_name() for _ in task_args]
-    # Keyed by submission index: shards attach in completion order, but
-    # the returned block list must line up with the returned shard list.
-    attached: Dict[int, arena.ArenaBlock] = {}
-
-    def attach(index: int, shard: arena.ArenaShard) -> None:
-        with profiler.phase("arena_attach"):
-            block = arena.ArenaBlock.attach(shard)
-        attached[index] = block
-        profiler.merge(dict(shard.phase_s))
-        tracing.ingest(shard.spans)
-        if on_shard is not None:
-            on_shard(shard, block)
-
-    try:
-        shards = _run_all_on_workers(
-            worker_fn,
-            [
-                (context.ref, *args, name)
-                for args, name in zip(task_args, names)
-            ],
-            jobs,
-            executor,
-            initializer=_warm_worker,
-            initargs=(context.ref,),
-            on_result=attach,
-        )
-        return shards, [attached[index] for index in range(len(shards))]
-    except BaseException:
-        for block in attached.values():  # already unlinked; free the pages
-            block.close()
-        for name in names:  # written-but-unattached segments still have names
-            arena.release_segment(name)
-        raise
-    finally:
-        context.release()
 
 
 def _run_cell_sharded(
@@ -575,7 +412,6 @@ def _run_cell_sharded(
     trace: SolarTrace,
     jobs: int,
     executor: Optional[Executor] = None,
-    use_arena: bool = False,
     trace_ctx: Optional[tracing.SpanContext] = None,
     completed: Optional[Dict[Tuple[int, int], CampaignResult]] = None,
     on_shard_done: Optional[
@@ -601,11 +437,12 @@ def _run_cell_sharded(
             for chunk in chunks
         ]
         chunks = [chunk for chunk in chunks if chunk]
-    blocks: List[arena.ArenaBlock] = []
 
     def merge_cells(cells: List[Tuple[int, int, CampaignResult]]) -> None:
-        for scenario_index, policy_index, result in cells:
-            grid[scenario_index][policy_index] = result
+        with profiler.phase("merge"):
+            for scenario_index, policy_index, result in cells:
+                grid[scenario_index][policy_index] = result
+        # Outside the merge phase: journaling is the store's time, not ours.
         if on_shard_done is not None:
             on_shard_done(cells)
 
@@ -620,52 +457,22 @@ def _run_cell_sharded(
                     scenarios, labels, config, policies, trace, chunk, profiler
                 )
             )
-    elif use_arena:
-        def merge_shard(
-            shard: arena.ArenaShard, block: arena.ArenaBlock
-        ) -> None:
-            with profiler.phase("merge"):
-                cells = []
-                for slot in shard.cells:
-                    columns, battery = arena.read_cell(block, slot)
-                    cells.append((
-                        slot.scenario_index,
-                        slot.policy_index,
-                        CampaignResult.from_columns(
-                            slot.policy_name,
-                            slot.alpha,
-                            columns,
-                            battery_charge_j=battery,
-                        ),
-                    ))
-            merge_cells(cells)
-
-        shards, blocks = _run_arena_tasks(
-            _run_cell_shard_arena,
-            [(chunk, trace_ctx) for chunk in chunks],
-            (scenarios, labels, config, policies, trace),
-            jobs,
-            executor,
-            profiler,
-            on_shard=merge_shard,
-        )
     else:
-        def merge_pickled(_index: int, shard_result) -> None:
+        with profiler.phase("context_publish"):
+            packed = _pack_context((scenarios, labels, config, policies, trace))
+
+        def merge_shard(_index: int, shard_result) -> None:
             cells, phases, spans = shard_result
             profiler.merge(phases)
             tracing.ingest(spans)
-            with profiler.phase("merge"):
-                merge_cells(cells)
+            merge_cells(cells)
 
         _run_all_on_workers(
             _run_cell_shard,
-            [
-                (scenarios, labels, config, policies, trace, chunk, trace_ctx)
-                for chunk in chunks
-            ],
+            [(packed, chunk, trace_ctx) for chunk in chunks],
             jobs,
             executor,
-            on_result=merge_pickled,
+            on_result=merge_shard,
         )
     missing = [
         (scenario_index, policy_index)
@@ -674,8 +481,6 @@ def _run_cell_sharded(
         if cell is None
     ]
     if missing:  # a partial grid would silently shift policy indices
-        for block in blocks:
-            block.close()
         raise RuntimeError(f"shard workers left cells unfilled: {missing}")
     result = FleetResult(
         scenario_labels=labels,
@@ -684,7 +489,6 @@ def _run_cell_sharded(
         scan=None,
         trace_hours=len(trace),
     )
-    result.adopt_arena(blocks)
     result.phase_timings = profiler.as_dict()
     return result
 
@@ -697,7 +501,6 @@ def _run_time_sharded(
     trace: SolarTrace,
     jobs: int,
     executor: Optional[Executor] = None,
-    use_arena: bool = False,
     trace_ctx: Optional[tracing.SpanContext] = None,
 ) -> FleetResult:
     """Split the trace into contiguous slices and concat the merged columns."""
@@ -712,47 +515,25 @@ def _run_time_sharded(
             continue
         bounds.append((start, start + size))
         start += size
-    blocks: List[arena.ArenaBlock] = []
-    if use_arena:
-        shards, blocks = _run_arena_tasks(
-            _run_time_shard_arena,
-            [(first, last, trace_ctx) for first, last in bounds],
-            (scenarios, labels, config, policies, trace),
-            jobs,
-            executor,
-            profiler,
-        )
-        slices: List[Dict[Tuple[int, int], CampaignColumns]] = []
-        for shard, block in zip(shards, blocks):
-            per_cell: Dict[Tuple[int, int], CampaignColumns] = {}
-            for slot in shard.cells:
-                columns, _ = arena.read_cell(block, slot)
-                per_cell[(slot.scenario_index, slot.policy_index)] = columns
-            slices.append(per_cell)
-        parts_of = lambda s, p: [piece[(s, p)] for piece in slices]  # noqa: E731
-    else:
-        pickled: List[List[List[CampaignColumns]]] = []
-        for grid_part, phases, spans in _map_on_workers(
-            _run_time_shard,
-            [
-                (scenarios, labels, config, policies, trace, first, last,
-                 trace_ctx)
-                for first, last in bounds
-            ],
-            jobs,
-            executor,
-        ):
-            profiler.merge(phases)
-            tracing.ingest(spans)
-            pickled.append(grid_part)
-        parts_of = lambda s, p: [piece[s][p] for piece in pickled]  # noqa: E731
+    with profiler.phase("context_publish"):
+        packed = _pack_context((scenarios, labels, config, policies, trace))
+    pieces: List[List[List[CampaignColumns]]] = []
+    for grid_part, phases, spans in _run_all_on_workers(
+        _run_time_shard,
+        [(packed, first, last, trace_ctx) for first, last in bounds],
+        jobs,
+        executor,
+    ):
+        profiler.merge(phases)
+        tracing.ingest(spans)
+        pieces.append(grid_part)
     grid: List[List[CampaignResult]] = []
     with profiler.phase("merge"):
         for scenario_index in range(len(scenarios)):
             row = []
             for policy_index, policy in enumerate(policies):
                 columns = CampaignColumns.concat(
-                    parts_of(scenario_index, policy_index)
+                    [piece[scenario_index][policy_index] for piece in pieces]
                 )
                 row.append(
                     CampaignResult.from_columns(policy.name, policy.alpha, columns)
@@ -765,12 +546,6 @@ def _run_time_sharded(
         scan=None,
         trace_hours=hours,
     )
-    if len(bounds) > 1:
-        # concat copied the views into fresh arrays; the mappings can go now.
-        for block in blocks:
-            block.close()
-    else:
-        result.adopt_arena(blocks)
     result.phase_timings = profiler.as_dict()
     return result
 

@@ -154,33 +154,6 @@ class FleetResult:
         #: Deliberately not part of :meth:`meta_payload` -- the wire format
         #: is unchanged; the service ships it via ``CampaignResponse``.
         self.phase_timings: Dict[str, float] = {}
-        #: Shared-memory blocks whose views back the grid's columns (see
-        #: :meth:`adopt_arena`); empty for results that own their arrays.
-        self._arena_blocks: List[Any] = []
-
-    # --- arena lifecycle --------------------------------------------------------
-    def adopt_arena(self, blocks: Iterable[Any]) -> None:
-        """Take ownership of the shared-memory blocks backing this grid.
-
-        The sharded runner's zero-copy path builds cell columns as NumPy
-        views over :class:`~repro.service.arena.ArenaBlock` mappings; the
-        result must keep those mappings alive for as long as its arrays
-        are used, and :meth:`release` them when the result is dropped
-        (e.g. ``DELETE /campaign/<id>``).
-        """
-        self._arena_blocks.extend(blocks)
-
-    def release(self) -> None:
-        """Release any adopted shared-memory blocks (idempotent).
-
-        Blocks are already unlinked (names freed at attach time); this
-        closes the parent's mappings so the pages themselves return to the
-        OS.  Views still referencing a mapping defer the close to garbage
-        collection -- see :meth:`repro.service.arena.ArenaBlock.close`.
-        """
-        blocks, self._arena_blocks = self._arena_blocks, []
-        for block in blocks:
-            block.close()
 
     @property
     def num_scenarios(self) -> int:
@@ -311,10 +284,9 @@ class FleetResult:
         ``"<f4"`` halves the float payload for lossy transport.
 
         The raw codec (``compress=False``) is zero-copy: column frames
-        are yielded as memoryview slices of the cells' existing buffers
-        (for arena-backed results, the shared-memory pages themselves),
+        are yielded as memoryview slices of the cells' existing buffers,
         so consumers must either write each chunk out immediately or copy
-        it -- and must not outlive :meth:`release`.
+        it.
         """
 
         def chunk_nbytes(chunk) -> int:

@@ -239,28 +239,12 @@ class CampaignColumns:
         )
 
     # --- binary codec -----------------------------------------------------------
-    def payload_nbytes(self, dtype: str = "<f8") -> int:
-        """Size of the uncompressed binary column payload, in bytes.
-
-        This is what the raw codec puts on the wire after the header, and
-        what the shared-memory arena maps per cell -- the IPC accounting
-        figure :mod:`benchmarks.bench_shard` compares against pickles.
-        """
-        float_size = int(np.dtype(dtype).itemsize)
-        int_columns = sum(1 for _, kind in _BINARY_COLUMN_LAYOUT if kind == "int")
-        float_columns = len(_BINARY_COLUMN_LAYOUT) - int_columns
-        per_period = int_columns * 8 + float_columns * float_size
-        if self.times_by_design_point_s is not None:
-            per_period += len(self.design_point_names) * float_size
-        return len(self) * per_period
-
     def _column_buffers(self, dtype: str):
         """Yield each column's wire buffer in frame order.
 
-        Columns already stored contiguously at the wire dtype -- notably
-        the shared-memory arena's zero-copy views -- are yielded as
-        memoryviews over their existing storage; anything else is cast and
-        copied once.
+        Columns already stored contiguously at the wire dtype are yielded
+        as memoryviews over their existing storage; anything else is cast
+        and copied once.
         """
         def wire_buffer(array: np.ndarray, wire_dtype: str):
             array = np.asarray(array)

@@ -5,7 +5,8 @@ Covers the :meth:`CampaignColumns.to_bytes`/:meth:`from_bytes` codec
 diagnostics on malformed or truncated blobs), the length-prefixed
 :meth:`FleetResult.to_binary_frames` stream, and the HTTP negotiation:
 ``GET /campaign/<id>/columns?format=binary`` must reproduce the local
-fleet run to 1e-9, unknown ``format``/``dtype`` values must map to the
+fleet run to 1e-9 under both the zlib and the raw codec, unknown
+``format``/``dtype`` values must map to the
 service's 400 JSON error contract, and the NDJSON default must be
 untouched.
 """
@@ -224,8 +225,13 @@ class TestBinaryColumnsHttp:
         client.wait_for_campaign(submitted.campaign_id, timeout_s=120)
         return submitted
 
-    def test_binary_columns_match_local_run(self, client, finished, local_result):
-        remote = client.campaign_result(finished.campaign_id, binary=True)
+    @pytest.mark.parametrize("codec", ["zlib", "raw"])
+    def test_binary_columns_match_local_run(
+        self, client, finished, local_result, codec
+    ):
+        remote = client.campaign_result(
+            finished.campaign_id, binary=True, codec=codec
+        )
         assert remote.policy_names == local_result.policy_names
         for scenario_index, policy_index, cell in remote:
             reference = local_result.result(policy_index, scenario_index)

@@ -3,10 +3,15 @@
 The sharded runner must be *exactly* equivalent to the in-process fleet
 engine -- the workers run the same vectorized code on partitions of the
 same grid -- so every comparison here is to 1e-9 or tighter, on per-period
-series, not just aggregates.
+series, not just aggregates.  The worker-side context cache, worker
+failures and the merge phase's timing are covered too.
 """
 
 from __future__ import annotations
+
+import pickle
+import time
+import types
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from repro.data.table2 import table2_design_points
 from repro.harvesting.solar import SyntheticSolarModel
 from repro.harvesting.solar_cell import HarvestScenario, SolarCellModel
 from repro.harvesting.traces import SolarTrace
+from repro.service import shard
 from repro.service.shard import run_sharded_campaign, shard_cells
 from repro.simulation.fleet import CampaignConfig, FleetCampaign
 from repro.simulation.metrics import CampaignColumns
@@ -53,6 +59,13 @@ class StatefulPolicy(ReapPolicy):
 
     def reset(self):  # cross-period state: time slicing would reset it
         self.seen = 0
+
+
+class CrashingPolicy(ReapPolicy):
+    """A policy that dies mid-cell (module-level so workers can unpickle it)."""
+
+    def allocate_arrays(self, budgets_j):
+        raise RuntimeError("boom: simulated worker crash")
 
 
 def _assert_cells_match(sharded, single):
@@ -241,6 +254,95 @@ class TestShardedCampaign:
             [HarvestScenario()], [StatefulPolicy(points)], trace, config, jobs=3
         )
         _assert_cells_match(sharded, single)
+
+    def test_worker_crash_mid_cell_surfaces_the_error(self, points, trace):
+        policies = [ReapPolicy(points, alpha=1.0), CrashingPolicy(points)]
+        with pytest.raises(RuntimeError, match="boom"):
+            run_sharded_campaign(
+                [HarvestScenario()],
+                policies,
+                trace,
+                CampaignConfig(use_battery=True),
+                jobs=2,
+            )
+
+    def test_merge_phase_excludes_the_shard_hook(self, points, trace):
+        # The durable hook journals each shard; its time belongs to the
+        # store, not to the merge phase that places cells in the grid.
+        sleep_s = 0.05
+        hook_calls = []
+
+        def slow_hook(cells):
+            hook_calls.append(len(cells))
+            time.sleep(sleep_s)
+
+        result = run_sharded_campaign(
+            [HarvestScenario()],
+            _policies(points),
+            trace,
+            CampaignConfig(use_battery=True),
+            jobs=2,
+            on_shard_done=slow_hook,
+        )
+        assert len(hook_calls) == 2
+        assert result.phase_timings["merge"] < 0.25 * sleep_s * len(hook_calls)
+
+
+class TestWorkerContextCache:
+    @pytest.fixture()
+    def unpickles(self, monkeypatch):
+        """Count the worker-side unpickles, on a fresh context cache."""
+        calls = []
+
+        def counting_loads(blob):
+            calls.append(blob)
+            return pickle.loads(blob)
+
+        monkeypatch.setattr(shard, "_CONTEXT_CACHE", {})
+        monkeypatch.setattr(
+            shard,
+            "pickle",
+            types.SimpleNamespace(
+                dumps=pickle.dumps,
+                loads=counting_loads,
+                HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+            ),
+        )
+        return calls
+
+    def test_same_digest_unpickles_once_new_digest_again(
+        self, points, trace, unpickles
+    ):
+        config = CampaignConfig(use_battery=True)
+        policies = _policies(points)[:2]
+        packed = shard._pack_context(
+            ([HarvestScenario()], ["S0"], config, policies, trace)
+        )
+        first, _, _ = shard._run_cell_shard(packed, [(0, 0)])
+        second, _, _ = shard._run_cell_shard(packed, [(0, 1)])
+        assert len(unpickles) == 1  # the second task hit the cache
+        assert [cell[:2] for cell in first + second] == [(0, 0), (0, 1)]
+
+        shorter = SolarTrace(trace.hours[:24], name=trace.name)
+        other = shard._pack_context(
+            ([HarvestScenario()], ["S0"], config, policies, shorter)
+        )
+        assert other[0] != packed[0]
+        cells, _, _ = shard._run_cell_shard(other, [(0, 0)])
+        assert len(unpickles) == 2  # a new digest unpickles
+        assert len(cells[0][2].columns) == 24
+
+    def test_cache_never_exceeds_its_bound(self, unpickles):
+        bound = shard._MAX_CACHED_CONTEXTS
+        packed = [shard._pack_context((index,)) for index in range(bound + 3)]
+        for count, context in enumerate(packed, start=1):
+            assert shard._load_context(context) == (count - 1,)
+            assert len(shard._CONTEXT_CACHE) == min(count, bound)
+        # Oldest first out: the newest contexts stay warm.
+        assert list(shard._CONTEXT_CACHE) == [digest for digest, _ in packed[-bound:]]
+        assert len(unpickles) == len(packed)
+        shard._load_context(packed[-1])
+        assert len(unpickles) == len(packed)
 
 
 class TestPerScenarioBattery:

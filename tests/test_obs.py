@@ -3,9 +3,9 @@
 Covers the metrics registry's Prometheus text exposition (golden output),
 the W3C traceparent codec, span parentage across asyncio handler ->
 batcher -> pool threads and across ``run_sharded_campaign`` process
-workers (shared-memory transport on and off), SLO burn-rate arithmetic
-on injected clocks, structured JSON log lines, the campaign phase
-profiler, and the client/CLI observability surface (``/metrics``,
+workers, SLO burn-rate arithmetic on injected clocks, structured JSON log
+lines, the campaign phase profiler, the per-endpoint latency histograms,
+and the client/CLI observability surface (``/metrics``, ``/stats``,
 ``/trace/<id>``, ``repro fleet --profile``).
 """
 
@@ -32,12 +32,15 @@ from repro.obs.metrics import (
 )
 from repro.obs.profiling import PhaseProfiler
 from repro.obs.slo import DEFAULT_SLO_MS, SloTracker, parse_slo_spec
-from repro.service.arena import arena_available
 from repro.service.cache import EndpointLatencies, LatencyHistogram
 from repro.service.client import AllocationClient, ServiceError
 from repro.service.client import main as client_main
 from repro.service.requests import AllocationRequest, CampaignResponse
-from repro.service.server import AllocationService, start_in_thread
+from repro.service.server import (
+    AllocationServer,
+    AllocationService,
+    start_in_thread,
+)
 from repro.service.shard import run_sharded_campaign
 from repro.simulation.fleet import CampaignConfig, FleetCampaign
 from repro.simulation.policies import ReapPolicy, StaticPolicy
@@ -123,6 +126,36 @@ class TestExpositionFormat:
 
 
 class TestLatencyHistogramCompat:
+    def test_empty_histogram_reports_zeros(self):
+        payload = LatencyHistogram().to_json_dict()
+        assert payload == {
+            "count": 0, "mean_ms": 0.0, "max_ms": 0.0,
+            "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0,
+        }
+
+    @pytest.mark.parametrize(
+        "milliseconds, p50_range",
+        [
+            ((1, 1, 2, 2, 3, 4, 8, 16, 50, 400), (2.0, 8.0)),
+            # Beyond the last ~67 s bucket: the overflow bucket reports
+            # the max seen.
+            ((1_000_000,), (1_000_000.0, 1_000_000.0)),
+        ],
+        ids=["ten-samples", "overflow"],
+    )
+    def test_percentiles_are_ordered_and_bounded(self, milliseconds, p50_range):
+        histogram = LatencyHistogram()
+        for value in milliseconds:
+            histogram.record(value / 1000.0)
+        payload = histogram.to_json_dict()
+        assert payload["count"] == len(milliseconds)
+        assert payload["p50_ms"] <= payload["p95_ms"] <= payload["p99_ms"]
+        assert payload["p99_ms"] <= payload["max_ms"]
+        assert payload["max_ms"] == pytest.approx(max(milliseconds))
+        # Log buckets: each percentile is within 2x of the true quantile.
+        low, high = p50_range
+        assert low <= payload["p50_ms"] <= high
+
     def test_percentiles_and_snapshot(self):
         histogram = LatencyHistogram()
         for seconds in (0.001, 0.002, 0.004, 0.100):
@@ -148,6 +181,27 @@ class TestLatencyHistogramCompat:
         )
         # One bucket line per log2 bound plus +Inf, then _sum and _count.
         assert len(samples) == len(LOG2_BOUNDS_S) + 3
+
+    def test_endpoint_latencies_group_by_label(self):
+        latencies = EndpointLatencies()
+        latencies.observe("GET /stats", 0.001)
+        latencies.observe("GET /stats", 0.002)
+        latencies.observe("POST /allocate", 0.004)
+        payload = latencies.to_json_dict()
+        assert sorted(payload) == ["GET /stats", "POST /allocate"]
+        assert payload["GET /stats"]["count"] == 2
+
+    def test_endpoint_label_collapses_campaign_ids(self):
+        label = AllocationServer._endpoint_label
+        assert label("GET", "/healthz") == "GET /healthz"
+        assert label("POST", "/allocate/batch") == "POST /allocate/batch"
+        assert label("GET", "/campaign/abc123") == "GET /campaign/*"
+        assert (
+            label("GET", "/campaign/abc123/columns?format=binary&dtype=f8")
+            == "GET /campaign/*/columns"
+        )
+        assert label("DELETE", "/campaign/zzz") == "DELETE /campaign/*"
+        assert label("GET", "/nope") == "GET (other)"
 
 
 # --- traceparent + spans ---------------------------------------------------------
@@ -370,7 +424,7 @@ class TestPhaseProfiler:
 
 # --- propagation across process shards -------------------------------------------
 class TestShardTracePropagation:
-    def _run(self, points, trace, shared_memory):
+    def test_shard_workers_carry_trace(self, points, trace):
         scenarios = [
             HarvestScenario(cell=SolarCellModel(exposure_factor=factor))
             for factor in (0.032, 0.05)
@@ -383,13 +437,9 @@ class TestShardTracePropagation:
                 trace,
                 CampaignConfig(use_battery=True),
                 jobs=2,
-                shared_memory=shared_memory,
             )
-        return root, result
-
-    def _assert_shard_spans(self, root, result):
-        assert result.phase_timings
         assert "cell_solve" in result.phase_timings
+        assert "context_publish" in result.phase_timings
         spans = tracing.recorder().spans(root.context.trace_id)
         assert spans is not None
         shard_spans = [s for s in spans if s["name"] == "campaign.shard"]
@@ -397,17 +447,6 @@ class TestShardTracePropagation:
         for span in shard_spans:
             assert span["trace_id"] == root.context.trace_id
             assert span["parent_span_id"] == root.context.span_id
-
-    def test_pickle_transport_carries_trace(self, points, trace):
-        root, result = self._run(points, trace, shared_memory=False)
-        self._assert_shard_spans(root, result)
-
-    @pytest.mark.skipif(not arena_available(), reason="no shared memory arena")
-    def test_arena_transport_carries_trace(self, points, trace):
-        root, result = self._run(points, trace, shared_memory=True)
-        self._assert_shard_spans(root, result)
-        assert "arena_pack" in result.phase_timings
-        assert "context_publish" in result.phase_timings
 
 
 # --- HTTP integration ------------------------------------------------------------
@@ -486,6 +525,13 @@ class TestHttpObservability:
         stats = client.stats()
         assert stats["uptime_s"] >= 0.0
         assert "allocate" in stats["slo"]["objectives"]
+
+    def test_stats_endpoint_carries_histograms(self, client):
+        client.health()
+        client.health()
+        endpoints = client.stats()["endpoints"]
+        assert endpoints["GET /healthz"]["count"] >= 2
+        assert endpoints["GET /healthz"]["p50_ms"] > 0.0
 
     def test_cache_hit_and_outcome_counters(self, client):
         request = AllocationRequest(energy_budget_j=6.17, alpha=1.7)

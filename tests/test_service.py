@@ -329,7 +329,6 @@ class TestHttpRoundTrip:
         assert payload["workers"] >= 1
         assert payload["campaign_workers"] >= 1
         assert payload["backend"] in ("numpy", "compiled", "float32")
-        assert payload["shared_memory"] in ("auto", "on", "off")
 
     def test_allocate_matches_scalar_and_caches(self, client, points):
         request = AllocationRequest(5.0, alpha=1.0)
