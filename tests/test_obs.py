@@ -424,7 +424,7 @@ class TestPhaseProfiler:
 
 # --- propagation across process shards -------------------------------------------
 class TestShardTracePropagation:
-    def test_shard_workers_carry_trace(self, points, trace):
+    def test_pickle_transport_carries_trace(self, points, trace):
         scenarios = [
             HarvestScenario(cell=SolarCellModel(exposure_factor=factor))
             for factor in (0.032, 0.05)
