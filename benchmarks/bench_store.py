@@ -17,6 +17,11 @@ processes), interleaved best-of-three:
   ``submit``/``start`` up front, ``shard_done`` frames per shard, a
   ``finish`` record at the end (``sync="normal"``, the server default).
 
+In both runs the workers deflate each cell's frames once and the parent
+decodes them (a durable shard travels encoded), so the difference between
+the two is the journal's own cost: SQLite appends of frames that are
+already deflated.
+
 Asserted floor: ``speedup_vs_plain >= 0.9`` (journaled wall time within
 ~11% of plain).  Both results must equal the single-process reference to
 1e-9, and the journal must immediately reload into a bit-exact

@@ -1,7 +1,8 @@
 """Phase profiler for the campaign pipeline.
 
 A campaign run is a short fixed pipeline (harvest matrix, scan settle,
-per-cell solves, context pack, merge), so the profiler is just a
+per-cell solves, context pack, merge, and for durable shards the worker's
+frame encode and the parent's decode), so the profiler is just a
 named-accumulator map with a timing context manager -- cheap enough to
 leave on permanently, which is the point: ``FleetResult.phase_timings``
 and ``CampaignResponse.profile`` always carry the breakdown, and the

@@ -333,7 +333,9 @@ class AllocationClient:
         (float32, roughly half the float payload).  ``codec`` is
         ``"zlib"`` (deflated frames, the default) or ``"raw"``
         (uncompressed -- the server streams zero-copy views, trading
-        bytes on the wire for no encode cost).  The returned bytes decode
+        bytes on the wire for no encode cost; the server deflates each
+        f8/zlib cell at most once, so after a job's first zlib fetch raw
+        saves nothing).  The returned bytes decode
         with :meth:`repro.simulation.fleet.FleetResult.from_binary`.
         """
         connection = http.client.HTTPConnection(

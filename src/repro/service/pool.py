@@ -322,7 +322,6 @@ class WorkerPool:
         scenario_labels=None,
         completed=None,
         on_shard_done=None,
-        shards=None,
     ):
         """Run a fleet campaign grid on the pool's process workers.
 
@@ -335,9 +334,9 @@ class WorkerPool:
 
         ``completed``/``on_shard_done`` are the durable-store hooks (skip
         journaled cells, journal each shard as it lands -- see the shard
-        runner); ``shards`` overrides the chunk count so durable campaigns
-        can journal at a finer grain than one chunk per worker while the
-        executor stays sized at ``campaign_workers``.
+        runner).  Durable or not, the grid runs as one chunk per campaign
+        worker: the scan costs per period, not per cell, so finer chunks
+        would only repeat it.
         """
         self._check_open()
         # Imported here: the campaign stack (simulation + shard) is only
@@ -350,7 +349,7 @@ class WorkerPool:
             trace,
             config,
             scenario_labels=scenario_labels,
-            jobs=shards if shards is not None else self.campaign_workers,
+            jobs=self.campaign_workers,
             executor=self._ensure_campaign_executor(),
             completed=completed,
             on_shard_done=on_shard_done,

@@ -80,8 +80,12 @@ Endpoints (shown unversioned; prefix with ``/v1`` for the stable API)
     :meth:`repro.simulation.fleet.FleetResult.to_binary_frames`);
     ``?format=binary&dtype=f4`` sends float32 frames and
     ``?format=binary&codec=raw`` skips compression -- the raw stream is
-    zero-copy ``memoryview`` slices of the retained columns.  NDJSON stays
-    the default; unknown ``format``/``dtype``/``codec`` values answer 400.
+    zero-copy ``memoryview`` slices of the retained columns.  The default
+    f8/zlib stream deflates each cell at most once: with a store it splices
+    the frames the campaign workers deflated and the journal holds; without
+    one, the first such fetch deflates and the job keeps the frames.
+    NDJSON stays the default; unknown ``format``/``dtype``/``codec`` values
+    answer 400.
 ``DELETE /campaign/<id>``
     Drop a finished campaign and free its retained columns; the id 404s
     afterwards.  Pending/running jobs answer 409.
@@ -646,16 +650,6 @@ class AllocationService:
         ][:overflow]:
             del self._campaigns[campaign_id]
 
-    def _durable_shards(self) -> int:
-        """Chunk count for journaled campaigns.
-
-        Finer than one chunk per worker so a kill loses at most a quarter
-        of a worker's wall-clock; 1 when campaigns run inline (chunking a
-        single-threaded run would only add journal records).
-        """
-        workers = self.pool.campaign_workers
-        return workers * 4 if workers > 1 else 1
-
     def _execute_campaign(self, job: CampaignJob):
         # Campaigns simulate the hardware this service is configured for,
         # the same design points its /allocate answers describe.  The span
@@ -671,7 +665,6 @@ class AllocationService:
             store = self.store
             completed = None
             on_shard_done = None
-            shards = None
             if store is not None:
                 campaign_id = job.campaign_id
                 if not store.acquire_lease(campaign_id):
@@ -682,7 +675,6 @@ class AllocationService:
                 # Cells journaled by a previous (killed) run are final;
                 # only the rest are simulated.
                 completed = store.done_cells(campaign_id)
-                shards = self._durable_shards()
 
                 def journal_shard(cells) -> None:
                     store.shard_done(campaign_id, cells)
@@ -702,7 +694,6 @@ class AllocationService:
                     scenario_labels=labels,
                     completed=completed,
                     on_shard_done=on_shard_done,
-                    shards=shards,
                 )
                 if store is not None:
                     store.finish(job.campaign_id, result)

@@ -25,7 +25,11 @@ per campaign in the parent and travels with every task as bytes; each
 worker unpickles it once per context digest and keeps it in a small
 cache (:func:`_load_context`), so a persistent pool serving repeated
 campaigns pays the unpickle once per worker rather than once per task.
-Results come back pickled through the executor's result pipe.
+Results come back pickled through the executor's result pipe.  A durable
+campaign's workers return their cells as one
+:func:`repro.service.store.encode_cells` payload instead: each cell is
+deflated once, in the worker, and the journal record and the binary
+columns stream reuse those bytes.
 
 The sharded run reproduces the single-process run exactly: cell identity
 is preserved (each cell's device simulator re-seeds from the same
@@ -185,20 +189,32 @@ def _run_cell_shard(
     packed: PackedContext,
     chunk: Sequence[Tuple[int, int]],
     trace_ctx: Optional[tracing.SpanContext] = None,
-) -> Tuple[List[Tuple[int, int, CampaignResult]], Dict[str, float], List[Dict[str, Any]]]:
+    encode: bool = False,
+) -> Tuple[Any, Dict[str, float], List[Dict[str, Any]]]:
     """Worker: simulate a chunk of cells, return their full results.
+
+    With ``encode`` (durable campaigns) the cells come back as one
+    :func:`repro.service.store.encode_cells` payload, timed as the
+    ``encode`` phase, instead of as :class:`CampaignResult` objects.
 
     The trace context travels as a per-task argument, *not* inside the
     packed context -- the context is digest-cached across campaigns, and
     a trace id baked into it would defeat the cache.
     """
     scenarios, labels, config, policies, trace = _load_context(packed)
-    return _shard_span(
-        trace_ctx,
-        lambda profiler: _simulate_cell_chunk(
+
+    def work(profiler: PhaseProfiler) -> Any:
+        cells = _simulate_cell_chunk(
             scenarios, labels, config, policies, trace, chunk, profiler
-        ),
-    )
+        )
+        if not encode:
+            return cells
+        from repro.service.store import encode_cells
+
+        with profiler.phase("encode"):
+            return encode_cells(cells)
+
+    return _shard_span(trace_ctx, work)
 
 
 def _simulate_time_slice(
@@ -364,10 +380,11 @@ def run_sharded_campaign(
     ``on_shard_done(cells)`` fires on the caller's thread the moment each
     shard's cells are in hand, before the campaign finishes.  Either hook
     makes the run *durable*: the grid is always sharded cell-wise (time
-    slices have no stable per-cell identity to journal), the jobs==1 path
-    runs the chunks inline instead of taking the single-process shortcut,
-    and a callback exception aborts the campaign after in-flight workers
-    settle.
+    slices have no stable per-cell identity to journal), one chunk per
+    job, the workers return encoded frames rather than arrays, the jobs==1
+    path runs the chunk inline instead of taking the single-process
+    shortcut, and a callback exception aborts the campaign after in-flight
+    workers settle.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -422,8 +439,11 @@ def _run_cell_sharded(
 
     Cells in ``completed`` are excluded from the worker chunks and merged
     into the grid directly; ``on_shard_done`` fires per finished shard
-    (see :func:`run_sharded_campaign`).
+    (see :func:`run_sharded_campaign`).  Durable shards (either hook set)
+    come back from the workers encoded and are decoded here, timed as the
+    ``decode`` phase; the decoded cells keep their frames.
     """
+    durable = completed is not None or on_shard_done is not None
     profiler = PhaseProfiler()
     chunks = shard_cells(len(scenarios), len(policies), jobs)
     grid: List[List[Optional[CampaignResult]]] = [
@@ -449,8 +469,8 @@ def _run_cell_sharded(
     if not chunks:
         pass  # every cell journaled already; nothing left to simulate
     elif jobs == 1 and executor is None:
-        # Durable single-worker path: no pool, but still chunked so each
-        # chunk's cells hit the journal as they finish.
+        # Durable single-worker path: no pool; the chunk runs inline and
+        # its cells hit the journal when it finishes.
         for chunk in chunks:
             merge_cells(
                 _simulate_cell_chunk(
@@ -465,11 +485,16 @@ def _run_cell_sharded(
             cells, phases, spans = shard_result
             profiler.merge(phases)
             tracing.ingest(spans)
+            if durable:
+                from repro.service.store import decode_cells
+
+                with profiler.phase("decode"):
+                    cells = decode_cells(cells)
             merge_cells(cells)
 
         _run_all_on_workers(
             _run_cell_shard,
-            [(packed, chunk, trace_ctx) for chunk in chunks],
+            [(packed, chunk, trace_ctx, durable) for chunk in chunks],
             jobs,
             executor,
             on_result=merge_shard,

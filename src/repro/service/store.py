@@ -20,10 +20,16 @@ each carrying a CRC-32 over its payload:
     Execution began; records the resolved trace length.  A job may carry
     several ``start`` records (one per crash/recovery attempt).
 ``shard_done``
-    One worker shard finished: the binary column frames of its (scenario,
-    policy) cells (:meth:`repro.simulation.metrics.CampaignColumns.to_bytes`
-    plus battery trajectories).  On recovery, cells with a journaled
-    ``shard_done`` are *not* re-run.
+    One campaign worker's chunk of the grid finished: the float64/zlib
+    frames of its (scenario, policy) cells
+    (:meth:`repro.simulation.metrics.CampaignColumns.to_bytes` plus
+    battery trajectories).  The worker deflates each cell once
+    (:func:`encode_cells`); the parent decodes the payload, journals the
+    same frames and keeps them on the cells, which is what the f8/zlib
+    ``?format=binary`` columns stream splices.  A durable campaign runs
+    one chunk per campaign worker, so a kill loses at most the chunks in
+    flight; on recovery, cells with a journaled ``shard_done`` are *not*
+    re-run.
 ``finish``
     The grid-shape meta payload.  The full result is never duplicated:
     :meth:`load_result` reassembles it from the journaled shard frames.
@@ -192,44 +198,44 @@ def _read_frame(blob: bytes, offset: int, what: str) -> Tuple[bytes, int]:
 def encode_cells(cells: Sequence[Tuple[int, int, Any]]) -> bytes:
     """Serialize one shard's (scenario, policy, CampaignResult) cells.
 
-    Per cell: a length-prefixed JSON header, the cell's
+    Per cell: a length-prefixed JSON header, then the cell's
+    :meth:`~repro.simulation.metrics.CampaignResult.wire_frames`, each
+    length-prefixed: the
     :meth:`~repro.simulation.metrics.CampaignColumns.to_bytes` frame
     (zlib-deflated float64 -- the lossless wire dtype) and, when present,
-    a deflated ``<f8`` battery-trajectory frame.  The decoded cells equal
-    the originals to the last bit; this is what makes "re-run only the
-    unfinished shards" exact rather than approximate.
+    a deflated ``<f8`` battery-trajectory frame.  Cells that already hold
+    their frames (decoded from a worker's payload) are re-framed without
+    deflating again.  The decoded cells equal the originals to the last
+    bit; this is what makes "re-run only the unfinished shards" exact
+    rather than approximate.
     """
-    # Imported here: the store must be usable (recovery, status queries)
-    # without paying for the simulation stack.
-    from repro.simulation.metrics import CampaignColumns
-
     parts: List[bytes] = []
     for scenario_index, policy_index, result in cells:
-        columns = result.columns
-        if columns is None:
-            columns = CampaignColumns.from_outcomes(result.outcomes)
-        battery = result.battery_charge_j
+        columns_frame, battery_frame = result.wire_frames()
         header = {
             "scenario_index": int(scenario_index),
             "policy_index": int(policy_index),
             "policy_name": str(result.policy_name),
             "alpha": float(result.alpha),
-            "has_battery": battery is not None,
+            "has_battery": battery_frame is not None,
         }
         parts.append(
             _frame(json.dumps(header, separators=(",", ":")).encode("utf-8"))
         )
-        parts.append(_frame(columns.to_bytes("<f8", compress=True)))
-        if battery is not None:
-            import numpy as np
-
-            blob = np.ascontiguousarray(battery, dtype="<f8").tobytes()
-            parts.append(_frame(zlib.compress(blob, 6)))
+        parts.extend(
+            _frame(frame)
+            for frame in (columns_frame, battery_frame)
+            if frame is not None
+        )
     return b"".join(parts)
 
 
 def decode_cells(blob: bytes) -> List[Tuple[int, int, Any]]:
-    """Decode one :func:`encode_cells` payload back into grid cells."""
+    """Decode one :func:`encode_cells` payload back into grid cells.
+
+    Each cell keeps the frames it was decoded from, so re-encoding it
+    (journal, f8/zlib columns stream) deflates nothing.
+    """
     import numpy as np
 
     from repro.simulation.metrics import CampaignColumns, CampaignResult
@@ -248,7 +254,7 @@ def decode_cells(blob: bytes) -> List[Tuple[int, int, Any]]:
             columns = CampaignColumns.from_bytes(columns_blob)
         except ValueError as error:
             raise StoreError(f"malformed cell {index} columns: {error}") from error
-        battery = None
+        battery = battery_blob = None
         if head.get("has_battery"):
             battery_blob, offset = _read_frame(
                 blob, offset, f"cell {index} battery"
@@ -268,6 +274,7 @@ def decode_cells(blob: bytes) -> List[Tuple[int, int, Any]]:
                 float(head["alpha"]),
                 columns,
                 battery_charge_j=battery,
+                wire_frames=(columns_blob, battery_blob),
             ),
         ))
         index += 1
@@ -587,17 +594,35 @@ class CampaignStore:
         )
 
     # --- replay / queries ---------------------------------------------------------
-    def jobs(self) -> Dict[str, JobRecord]:
-        """Replay the journal into per-job state (shard payloads stay lazy)."""
+    def _journal_rows(self, job_id: Optional[str] = None) -> List[tuple]:
+        """``(seq, job_id, kind, payload, created_at)`` rows in seq order:
+        every job's, or only ``job_id``'s (on the ``journal_job`` index)."""
+        query = "SELECT seq, job_id, kind, payload, created_at FROM journal"
+        args: Tuple[str, ...] = ()
+        if job_id is not None:
+            query += " WHERE job_id = ?"
+            args = (job_id,)
         with self._lock:
             db = self._connection()
             try:
-                rows = db.execute(
-                    "SELECT seq, job_id, kind, payload, created_at "
-                    "FROM journal ORDER BY seq"
-                ).fetchall()
+                return db.execute(query + " ORDER BY seq", args).fetchall()
             except sqlite3.DatabaseError as error:
                 raise StoreError(f"journal replay failed: {error}") from error
+
+    def jobs(self) -> Dict[str, JobRecord]:
+        """Replay the journal into per-job state (shard payloads stay lazy)."""
+        return self._replay(self._journal_rows())
+
+    def job(self, job_id: str) -> Optional[JobRecord]:
+        """One job's replayed state, or ``None`` for unknown/deleted ids.
+
+        Replays only that job's records, so a lookup costs the same however
+        many jobs the journal holds.
+        """
+        return self._replay(self._journal_rows(job_id)).get(job_id)
+
+    def _replay(self, rows: Sequence[tuple]) -> Dict[str, JobRecord]:
+        """Fold seq-ordered journal rows into per-job state."""
         records: Dict[str, JobRecord] = {}
         for seq, job_id, kind, payload, created_at in rows:
             record = records.get(job_id)
@@ -639,10 +664,6 @@ class CampaignStore:
             elif kind == "delete":
                 records.pop(job_id, None)
         return records
-
-    def job(self, job_id: str) -> Optional[JobRecord]:
-        """One job's replayed state, or ``None`` for unknown/deleted ids."""
-        return self.jobs().get(job_id)
 
     @staticmethod
     def _decode_json(seq: int, payload: bytes) -> Dict[str, Any]:

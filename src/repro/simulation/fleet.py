@@ -47,6 +47,7 @@ from repro.simulation.metrics import (
     BINARY_FLOAT_DTYPES,
     CampaignColumns,
     CampaignResult,
+    deflate_f8,
 )
 from repro.simulation.policies import PlanningPolicy, Policy
 
@@ -283,10 +284,13 @@ class FleetResult:
         decodes to a grid byte-exactly equal to the NDJSON codec's;
         ``"<f4"`` halves the float payload for lossy transport.
 
-        The raw codec (``compress=False``) is zero-copy: column frames
-        are yielded as memoryview slices of the cells' existing buffers,
-        so consumers must either write each chunk out immediately or copy
-        it.
+        The default f8/zlib stream is made of each cell's
+        :meth:`CampaignResult.wire_frames`, deflated at most once per cell:
+        a durable campaign's cells hold the frames their worker encoded and
+        the journal stores.  The raw codec (``compress=False``)
+        is zero-copy: column frames are yielded as memoryview slices of the
+        cells' existing buffers, so consumers must either write each chunk
+        out immediately or copy it.
         """
 
         def chunk_nbytes(chunk) -> int:
@@ -305,10 +309,8 @@ class FleetResult:
         meta["codec"] = "zlib" if compress else "raw"
         meta["num_cells"] = self.num_cells
         yield _binary_frame(json.dumps(meta, separators=(",", ":")).encode("utf-8"))
+        splice = dtype == "<f8" and compress
         for scenario_index, policy_index, result in self:
-            columns = result.columns
-            if columns is None:
-                columns = CampaignColumns.from_outcomes(result.outcomes)
             battery = result.battery_charge_j
             header = {
                 "scenario_index": scenario_index,
@@ -321,6 +323,15 @@ class FleetResult:
             yield _binary_frame(
                 json.dumps(header, separators=(",", ":")).encode("utf-8")
             )
+            if splice:
+                for frame in result.wire_frames():
+                    if frame is not None:
+                        yield struct.pack("<Q", len(frame))
+                        yield frame
+                continue
+            columns = result.columns
+            if columns is None:
+                columns = CampaignColumns.from_outcomes(result.outcomes)
             column_chunks = list(columns.to_bytes_chunks(dtype, compress=compress))
             yield struct.pack(
                 "<Q", sum(chunk_nbytes(chunk) for chunk in column_chunks)
@@ -328,8 +339,7 @@ class FleetResult:
             yield from column_chunks
             if battery is not None:
                 if compress:
-                    blob = np.ascontiguousarray(battery, dtype="<f8").tobytes()
-                    yield _binary_frame(zlib.compress(blob, 6))
+                    yield _binary_frame(deflate_f8(battery))
                 elif (
                     battery.dtype == np.dtype("<f8")
                     and battery.flags.c_contiguous

@@ -8,7 +8,8 @@ diagnostics on malformed or truncated blobs), the length-prefixed
 fleet run to 1e-9 under both the zlib and the raw codec, unknown
 ``format``/``dtype`` values must map to the
 service's 400 JSON error contract, and the NDJSON default must be
-untouched.
+untouched.  The HTTP tests run twice: on an in-memory service, and on a
+store-backed one whose f8/zlib stream splices the journaled frames.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.service.client import AllocationClient, ServiceError
 from repro.service.client import main as client_main
 from repro.service.requests import CampaignRequest
 from repro.service.server import AllocationService, start_in_thread
+from repro.service.store import CampaignStore
+from repro.simulation import metrics
 from repro.simulation.fleet import (
     CAMPAIGN_BINARY_MAGIC,
     FleetCampaign,
@@ -96,7 +99,7 @@ class TestColumnsCodec:
 
     def test_encoding_is_deterministic_and_reencodable(self, columns):
         # Byte-exactness: the same columns always serialise to the same
-        # bytes (zlib level 6 is deterministic), and a decode/encode cycle
+        # bytes (zlib at a fixed level is deterministic), and a decode/encode cycle
         # reproduces the original blob bit for bit.
         for dtype in BINARY_FLOAT_DTYPES:
             first = columns.to_bytes(dtype=dtype)
@@ -205,10 +208,14 @@ class TestBinaryColumnsHttp:
     REQUEST = CampaignRequest(hours=48, alphas=(1.0, 2.0), baselines=("DP1",))
 
     @pytest.fixture(scope="class")
-    def server(self, points):
+    def store(self):
+        return None  # in-memory service; see TestBinaryColumnsHttpStore
+
+    @pytest.fixture(scope="class")
+    def server(self, points, store):
         service = AllocationService(
             default_points=points, window_s=0.001, workers=2,
-            campaign_workers=2,
+            campaign_workers=2, store=store,
         )
         handle = start_in_thread(service)
         yield handle
@@ -339,3 +346,55 @@ class TestBinaryColumnsHttp:
         assert len(lines) == 1 + self.REQUEST.num_cells
         meta = json.loads(lines[0])
         assert meta["trace_hours"] == 48
+
+
+class TestBinaryColumnsHttpStore(TestBinaryColumnsHttp):
+    """Every negotiation test above, on a durable service.
+
+    Its campaigns journal one shard per campaign worker, and the f8/zlib
+    stream splices the frames the workers deflated instead of encoding.
+    """
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        store = CampaignStore(str(tmp_path_factory.mktemp("store") / "jobs.db"))
+        yield store
+        store.close()
+
+    @pytest.fixture()
+    def deflate_refused(self, monkeypatch):
+        """Fail any column or battery deflate until ``undo()``."""
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a journaled cell was deflated again")
+
+        monkeypatch.setattr(CampaignColumns, "to_bytes_chunks", refuse)
+        monkeypatch.setattr(metrics, "deflate_f8", refuse)
+        return monkeypatch
+
+    @staticmethod
+    def _reencoded(blob: bytes) -> bytes:
+        """The stream's cells encoded from scratch (decoded, no frames)."""
+        return b"".join(FleetResult.from_binary(blob).to_binary_frames())
+
+    def test_one_shard_record_per_campaign_worker(self, server, store, finished):
+        record = store.job(finished.campaign_id)
+        assert record.status == "done"
+        assert len(record.shard_seqs) == server.service.pool.campaign_workers
+
+    def test_stream_splices_frames_byte_for_byte(
+        self, client, finished, deflate_refused
+    ):
+        blob = client.campaign_columns_binary(finished.campaign_id)
+        deflate_refused.undo()
+        assert blob == self._reencoded(blob)
+
+    def test_reloaded_result_splices_frames_byte_for_byte(
+        self, client, store, finished, deflate_refused
+    ):
+        blob = client.campaign_columns_binary(finished.campaign_id)
+        reloaded = b"".join(
+            store.load_result(finished.campaign_id).to_binary_frames()
+        )
+        deflate_refused.undo()
+        assert reloaded == blob == self._reencoded(blob)

@@ -4,7 +4,8 @@ The sharded runner must be *exactly* equivalent to the in-process fleet
 engine -- the workers run the same vectorized code on partitions of the
 same grid -- so every comparison here is to 1e-9 or tighter, on per-period
 series, not just aggregates.  The worker-side context cache, worker
-failures and the merge phase's timing are covered too.
+failures, the merge phase's timing and the durable resume contract (re-run
+only the cells the journal is missing) are covered too.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import pickle
 import time
 import types
+from concurrent.futures import Executor, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -286,6 +288,59 @@ class TestShardedCampaign:
         )
         assert len(hook_calls) == 2
         assert result.phase_timings["merge"] < 0.25 * sleep_s * len(hook_calls)
+
+
+class TestDurableResume:
+    """A durable run given journaled cells simulates only the rest."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, points, trace):
+        scenarios = [
+            HarvestScenario(cell=SolarCellModel(exposure_factor=factor))
+            for factor in (0.032, 0.05)
+        ]
+        policies = _policies(points)
+        config = CampaignConfig(use_battery=True)
+        reference = run_sharded_campaign(scenarios, policies, trace, config, jobs=1)
+        return scenarios, policies, config, reference
+
+    def test_half_completed_grid_reruns_only_the_other_half(self, trace, grid):
+        scenarios, policies, config, reference = grid
+        cells = [(si, pi) for si, pi, _ in reference]
+        # Every other cell, so each worker's chunk has holes in it.
+        completed = {
+            (si, pi): reference.result(pi, si) for si, pi in cells[::2]
+        }
+        seen = []
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            resumed = run_sharded_campaign(
+                scenarios, policies, trace, config, jobs=2, executor=pool,
+                completed=completed,
+                on_shard_done=lambda shard: seen.extend(
+                    (si, pi) for si, pi, _ in shard
+                ),
+            )
+        assert sorted(seen) == sorted(set(cells) - set(completed))
+        assert len(seen) == len(set(seen))
+        _assert_cells_match(resumed, reference)
+        # Durable shards travel deflated: encoded in the workers, decoded here.
+        assert {"encode", "decode"} <= set(resumed.phase_timings)
+
+    def test_fully_completed_grid_submits_no_task(self, trace, grid):
+        scenarios, policies, config, reference = grid
+
+        class NoTasks(Executor):
+            def submit(self, *_args, **_kwargs):
+                raise AssertionError("a fully journaled grid submitted a task")
+
+        seen = []
+        resumed = run_sharded_campaign(
+            scenarios, policies, trace, config, jobs=2, executor=NoTasks(),
+            completed={(si, pi): cell for si, pi, cell in reference},
+            on_shard_done=seen.append,
+        )
+        assert seen == []
+        _assert_cells_match(resumed, reference)
 
 
 class TestWorkerContextCache:

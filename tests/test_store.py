@@ -12,6 +12,9 @@ from __future__ import annotations
 import os
 import socket
 import sqlite3
+import struct
+import time
+import zlib
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.service.store import (
     decode_cells,
     encode_cells,
 )
+from repro.simulation import metrics
 from repro.simulation.fleet import FleetCampaign
 
 REQUEST = CampaignRequest(hours=24, alphas=(1.0,), baselines=("DP1",))
@@ -121,6 +125,40 @@ class TestJournal:
             store.finish(job_id, fleet_result)
             store.cancel(job_id)  # raced in after the finish committed
             assert store.job(job_id).status == "done"
+
+    def test_job_equals_the_full_replay_for_every_id(
+        self, store_path, fleet_result
+    ):
+        # job(id) replays one job's rows only; on every kind of history it
+        # must agree with the whole-journal replay.
+        cells = _cells(fleet_result)
+        with CampaignStore(store_path) as store:
+            done, _ = store.submit(REQUEST, idempotency_key="k1")
+            store.acquire_lease(done)
+            store.start(done, trace_hours=fleet_result.trace_hours)
+            store.shard_done(done, cells[:1])
+            store.shard_done(done, cells[1:])
+            store.finish(done, fleet_result)
+            failed, _ = store.submit(REQUEST)
+            store.start(failed, trace_hours=fleet_result.trace_hours)
+            store.fail(failed, "boom")
+            cancelled, _ = store.submit(REQUEST)
+            store.cancel(cancelled)
+            deleted, _ = store.submit(REQUEST)
+            store.delete(deleted)
+            store.acquire_lease(deleted)  # a late lease event, no resurrection
+            running, _ = store.submit(REQUEST)
+            store.start(running, trace_hours=fleet_result.trace_hours)
+            store.shard_done(running, cells[:1])
+            store.acquire_lease("ghost")  # lease events only, never submitted
+            jobs = store.jobs()
+            ids = (done, failed, cancelled, deleted, running, "ghost", "c999")
+            for job_id in ids:
+                assert store.job(job_id) == jobs.get(job_id), job_id
+        assert sorted(jobs) == sorted((done, failed, cancelled, running))
+        assert jobs[done].status == "done"
+        assert len(jobs[done].shard_seqs) == 2
+        assert jobs[running].done_cells == [cells[0][:2]]
 
     def test_job_ids_monotonic_across_reopen(self, store_path):
         with CampaignStore(store_path) as store:
@@ -273,6 +311,32 @@ class TestCorruption:
             assert reopened.stats.records_dropped == 4
             assert reopened.job(job_id) is None
 
+    def test_malformed_shard_of_one_job_spares_the_others(
+        self, store_path, fleet_result
+    ):
+        # A CRC-valid record whose payload is no cell frame survives the
+        # torn-tail check; only a replay of its own job may trip over it.
+        with CampaignStore(store_path) as store:
+            broken, _ = store.submit(REQUEST)
+            healthy, _ = store.submit(REQUEST)
+            store.start(healthy, trace_hours=fleet_result.trace_hours)
+        payload = struct.pack("<Q", 64) + b"{}"
+        connection = sqlite3.connect(store_path)
+        try:
+            connection.execute(
+                "INSERT INTO journal (job_id, kind, payload, crc, created_at) "
+                "VALUES (?, 'shard_done', ?, ?, ?)",
+                (broken, payload, zlib.crc32(payload), time.time()),
+            )
+            connection.commit()
+        finally:
+            connection.close()
+        with CampaignStore(store_path) as reopened:
+            assert reopened.stats.records_dropped == 0
+            assert reopened.job(healthy).status == "running"
+            with pytest.raises(StoreError, match="malformed"):
+                reopened.job(broken)
+
     def test_unreadable_file_raises_store_error(self, tmp_path):
         path = tmp_path / "not-a-db.db"
         path.write_bytes(b"this is not a sqlite file, not even close...")
@@ -290,7 +354,9 @@ class TestCorruption:
 class TestCellCodec:
     def test_round_trip_is_bit_exact(self, fleet_result):
         cells = _cells(fleet_result)
-        decoded = decode_cells(encode_cells(cells))
+        payload = encode_cells(cells)
+        decoded = decode_cells(payload)
+        assert encode_cells(decoded) == payload
         assert len(decoded) == len(cells)
         for (si, pi, original), (dsi, dpi, copy) in zip(cells, decoded):
             assert (si, pi) == (dsi, dpi)
@@ -302,6 +368,42 @@ class TestCellCodec:
             np.testing.assert_array_equal(
                 copy.battery_charge_j, original.battery_charge_j
             )
+
+    def test_level_6_journals_stay_readable(self, fleet_result, monkeypatch):
+        # Journals written before the level became 1 deflated at 6;
+        # inflating does not depend on the level.
+        monkeypatch.setattr(metrics, "ZLIB_LEVEL", 6)
+        payload = encode_cells(
+            [(si, pi, metrics.CampaignResult.from_columns(
+                cell.policy_name, cell.alpha, cell.columns,
+                battery_charge_j=cell.battery_charge_j,
+            )) for si, pi, cell in fleet_result]
+        )
+        monkeypatch.undo()
+        assert payload != encode_cells(_cells(fleet_result))
+        for si, pi, cell in decode_cells(payload):
+            reference = fleet_result.result(pi, si)
+            np.testing.assert_array_equal(
+                cell.objective_values(), reference.objective_values()
+            )
+            np.testing.assert_array_equal(
+                cell.battery_charge_j, reference.battery_charge_j
+            )
+
+    def test_decoded_cells_reencode_without_deflating(
+        self, fleet_result, monkeypatch
+    ):
+        # The frames a payload was decoded from stay on its cells: the
+        # journal re-frames them, and the f8/zlib stream splices them.
+        payload = encode_cells(_cells(fleet_result))
+        decoded = decode_cells(payload)
+
+        def no_deflate(*_args, **_kwargs):
+            raise AssertionError("decoded cells were deflated again")
+
+        monkeypatch.setattr(metrics.CampaignColumns, "to_bytes", no_deflate)
+        monkeypatch.setattr(metrics, "deflate_f8", no_deflate)
+        assert encode_cells(decoded) == payload
 
     def test_truncated_payload_raises(self, fleet_result):
         payload = encode_cells(_cells(fleet_result))
