@@ -1,18 +1,20 @@
-"""Benchmarks of the compiled/float32 kernel backends (repro.core.kernels).
+"""Benchmarks of the production kernels (repro.core.kernels).
 
-Three micro-benchmarks cover the raw-speed work of the kernels PR:
+Three micro-benchmarks cover the kernels every engine runs:
 
-* the value-hull ``BatchAllocator.solve_arrays`` backends against the
-  float64 candidate-enumeration reference (compiled must be >= 1.5x at
-  1e-9 agreement on objectives; float32 is reported alongside at 1e-4),
-* the ``BatteryScan`` grant/settle recurrence on a narrow fleet, where
-  the compiled scalar path replaces the per-period Python loop and must
-  be >= 3x while staying bit-exact, and
+* the value-hull ``BatchAllocator.solve_arrays`` against the candidate
+  enumeration it replaced, ``BatchAllocator._solve_arrays_reference``
+  (must be >= 1.5x at 1e-9 agreement on objectives),
+* the ``BatteryScan`` grant/settle recurrence on a narrow fleet against
+  the per-period loop it replaced, ``BatteryScan._run_reference`` (must be
+  >= 3x while staying bit-exact), and
 * the binary columnar wire format against the NDJSON stream for
   ``GET /campaign/<id>/columns`` -- the float64 frames must be >= 5x
   smaller on a multi-week campaign and round-trip byte-exactly.
 
-Like the other benchmarks, each test prints and persists an
+The ``compiled solve`` and ``compiled settle`` rows name the production
+path (jitted when Numba is installed); the ``reference`` rows are the
+oracles.  Like the other benchmarks, each test prints and persists an
 ``ExperimentResult`` CSV under ``benchmarks/output/`` so the CI bench
 gate (scripts/bench_gate.py) can re-assert the floors.
 """
@@ -59,97 +61,84 @@ REQUIRED_SIZE_RATIO = 5.0
 
 @pytest.mark.benchmark(group="kernels")
 def test_hull_solve_speedup_over_reference(output_dir, published_points):
-    """solve_arrays backends vs the float64 reference: compiled >= 1.5x."""
+    """Production solve_arrays vs the candidate enumeration: >= 1.5x."""
     points = tuple(published_points)
-    engines = {
-        backend: BatchAllocator(points, backend=backend)
-        for backend in kernels.BACKENDS
-    }
-    reference = engines["numpy"]
-    floor = reference.off_power_w * reference.period_s
-    ceiling = max(dp.power_w for dp in points) * reference.period_s * 1.2
+    engine = BatchAllocator(points)
+    floor = engine.off_power_w * engine.period_s
+    ceiling = max(dp.power_w for dp in points) * engine.period_s * 1.2
     budgets = np.linspace(floor * 0.5, ceiling, BENCH_BUDGETS)
+    solves = {
+        "reference solve": lambda: engine._solve_arrays_reference(budgets, ALPHA),
+        "compiled solve": lambda: engine.solve_arrays(budgets, alpha=ALPHA),
+    }
 
     results, timings = {}, {}
-    for backend, engine in engines.items():
-        results[backend] = engine.solve_arrays(budgets, alpha=ALPHA)  # warm-up
-        timings[backend] = min(
-            _timed(lambda e=engine: e.solve_arrays(budgets, alpha=ALPHA))[0]
-            for _ in range(3)
-        )
+    for label, solve in solves.items():
+        results[label] = solve()  # warm-up
+        timings[label] = min(_timed(solve)[0] for _ in range(3))
 
-    # Agreement before speed: compiled tracks the reference to 1e-9 on the
-    # objective, float32 to 1e-4 (relative to the objective scale).
-    base = results["numpy"]
+    # Agreement before speed: the hull tracks the enumeration to 1e-9 on
+    # the objective (relative to the objective scale).
+    base, fast = results["reference solve"], results["compiled solve"]
     scale = float(np.max(np.abs(base.objective)))
-    for backend, atol in (("compiled", 1e-9), ("float32", 1e-4)):
-        fast = results[backend]
-        np.testing.assert_array_equal(fast.feasible, base.feasible)
-        np.testing.assert_allclose(
-            fast.objective, base.objective, rtol=0, atol=atol * max(scale, 1.0)
-        )
+    np.testing.assert_array_equal(fast.feasible, base.feasible)
+    np.testing.assert_allclose(
+        fast.objective, base.objective, rtol=0, atol=1e-9 * max(scale, 1.0)
+    )
 
-    rows = []
-    for backend in kernels.BACKENDS:
-        speedup = timings["numpy"] / timings[backend]
-        label = "reference solve" if backend == "numpy" else f"{backend} solve"
-        rows.append(
-            [label, BENCH_BUDGETS, timings[backend] * 1e3,
-             timings[backend] / BENCH_BUDGETS * 1e6, speedup]
-        )
-    solve_speedup = timings["numpy"] / timings["compiled"]
+    reference_s = timings["reference solve"]
+    rows = [
+        [label, BENCH_BUDGETS, seconds * 1e3, seconds / BENCH_BUDGETS * 1e6,
+         reference_s / seconds]
+        for label, seconds in timings.items()
+    ]
+    solve_speedup = reference_s / timings["compiled solve"]
 
     result = ExperimentResult(
         name=(
-            f"Value-hull solve backends: {BENCH_BUDGETS} budgets x "
-            f"{len(points)} design points (alpha={ALPHA:g}, "
+            f"Value-hull solve vs candidate enumeration: {BENCH_BUDGETS} "
+            f"budgets x {len(points)} design points (alpha={ALPHA:g}, "
             f"numba={'yes' if kernels.numba_ready() else 'no'})"
         ),
-        headers=["backend", "budgets", "total_ms", "per_solve_us", "speedup_x"],
+        headers=["path", "budgets", "total_ms", "per_solve_us", "speedup_x"],
         rows=rows,
         extras={"speedup": solve_speedup},
     )
     emit(result, output_dir, "kernels_solve.csv")
 
     assert solve_speedup >= REQUIRED_SOLVE_SPEEDUP, (
-        f"compiled hull solve is only {solve_speedup:.2f}x faster than the "
+        f"hull solve is only {solve_speedup:.2f}x faster than the "
         f"reference (required {REQUIRED_SOLVE_SPEEDUP:g}x)"
     )
 
 
 @pytest.mark.benchmark(group="kernels")
 def test_battery_scan_speedup_over_python_loop(output_dir, published_points):
-    """Narrow-fleet settle recurrence: compiled >= 3x over the period loop."""
+    """Narrow-fleet settle recurrence: the kernel >= 3x over the period loop."""
     points = tuple(published_points)
     curve = BatchAllocator(points).consumption_curve(alpha=ALPHA)
     curves = StackedConsumptionCurves([curve] * BENCH_DEVICES)
     rng = np.random.default_rng(SEED)
     harvest = rng.uniform(0.0, 4.0, size=(BENCH_PERIODS, BENCH_DEVICES))
-
-    def scan(backend):
-        return BatteryScan(
-            BENCH_DEVICES, capacity_j=80.0, backend=backend
-        ).run(harvest, curves)
+    scan = BatteryScan(BENCH_DEVICES, capacity_j=80.0)
+    scans = {
+        "reference settle": lambda: scan._run_reference(harvest, curves),
+        "compiled settle": lambda: scan.run(harvest, curves),
+    }
 
     results, timings = {}, {}
-    for backend in ("numpy", "compiled"):
-        results[backend] = scan(backend)  # warm-up
-        timings[backend] = min(
-            _timed(lambda b=backend: scan(b))[0] for _ in range(3)
-        )
+    for label, run in scans.items():
+        results[label] = run()  # warm-up
+        timings[label] = min(_timed(run)[0] for _ in range(3))
 
     # The scalar recurrence replays the reference arithmetic in the same
     # order, so the trajectories must match bit for bit.
-    np.testing.assert_array_equal(
-        results["compiled"].charge_j, results["numpy"].charge_j
-    )
-    np.testing.assert_array_equal(
-        results["compiled"].budgets_j, results["numpy"].budgets_j
-    )
-    np.testing.assert_array_equal(
-        results["compiled"].consumed_j, results["numpy"].consumed_j
-    )
-    scan_speedup = timings["numpy"] / timings["compiled"]
+    base, fast = results["reference settle"], results["compiled settle"]
+    np.testing.assert_array_equal(fast.charge_j, base.charge_j)
+    np.testing.assert_array_equal(fast.budgets_j, base.budgets_j)
+    np.testing.assert_array_equal(fast.consumed_j, base.consumed_j)
+    reference_s = timings["reference settle"]
+    scan_speedup = reference_s / timings["compiled settle"]
     cells = BENCH_PERIODS * BENCH_DEVICES
 
     result = ExperimentResult(
@@ -158,20 +147,19 @@ def test_battery_scan_speedup_over_python_loop(output_dir, published_points):
             f"{BENCH_DEVICES} devices "
             f"(numba={'yes' if kernels.numba_ready() else 'no'})"
         ),
-        headers=["backend", "device_periods", "total_ms", "per_period_us",
+        headers=["path", "device_periods", "total_ms", "per_period_us",
                  "speedup_x"],
         rows=[
-            ["reference settle", cells, timings["numpy"] * 1e3,
-             timings["numpy"] / cells * 1e6, 1.0],
-            ["compiled settle", cells, timings["compiled"] * 1e3,
-             timings["compiled"] / cells * 1e6, scan_speedup],
+            [label, cells, seconds * 1e3, seconds / cells * 1e6,
+             reference_s / seconds]
+            for label, seconds in timings.items()
         ],
         extras={"speedup": scan_speedup},
     )
     emit(result, output_dir, "kernels_battery.csv")
 
     assert scan_speedup >= REQUIRED_SCAN_SPEEDUP, (
-        f"compiled battery scan is only {scan_speedup:.2f}x faster than the "
+        f"battery scan kernel is only {scan_speedup:.2f}x faster than the "
         f"per-period loop (required {REQUIRED_SCAN_SPEEDUP:g}x)"
     )
 

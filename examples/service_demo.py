@@ -120,34 +120,19 @@ Everything the service does is observable without third-party tooling
   status payload; ``python -m repro fleet --profile`` writes the same
   breakdown for local runs.
 
-Choosing a backend
-------------------
-Every engine accepts ``backend=`` (``--backend`` on the CLI, per-request
-``"backend"`` over HTTP); the service's default is set at boot.  The
-choices:
-
-``numpy`` (default)
-    The float64 reference: candidate enumeration in the allocator, the
-    per-period settle loop in the scans.  Always available, bit-stable
-    across releases; every other backend is tested against it.
-``compiled``
-    The value-hull / scalar-recurrence kernels from
-    :mod:`repro.core.kernels`, jitted with Numba when it is installed
-    and falling back to fused NumPy hull kernels when not.  Agrees with
-    the reference to 1e-9 on objectives (bit-exact on battery
-    trajectories) and is the right default for large campaigns: ~10x on
-    raw solves, >3x on closed-loop scans even without Numba.
-``float32``
-    Single-precision variants of the same kernels, SIMD-friendly and
-    half the memory traffic; agreement loosens to 1e-4.  Use for
-    exploratory sweeps where throughput beats the last digits.
-
-Cached results never cross backends (the backend participates in the
-engine and cache keys), so mixing backends against one service is safe.
+Kernels
+-------
+Every solve and every campaign scan runs the one production kernel path
+of :mod:`repro.core.kernels`: the LP optimum read off its value hull, and
+the closed-loop battery recurrence stepped per device.  The kernels jit
+with Numba when it is installed and fall back to NumPy and plain Python
+when it is not; each picks its variant from the fleet width or grid size,
+so there is nothing to configure.  The candidate-vertex enumeration and
+the per-period settle loop remain as the oracles the kernels are tested
+against, to 1e-9.
 
 Run with:  python examples/service_demo.py [--requests N] [--window-ms W]
-           [--workers N] [--backend numpy|compiled|float32]
-           [--campaign] [--binary] [--campaign-workers N] [--durable]
+           [--workers N] [--campaign] [--binary] [--campaign-workers N] [--durable]
 """
 
 from __future__ import annotations
@@ -164,19 +149,14 @@ import time
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core.kernels import BACKENDS
 from repro.service import AllocationRequest, AllocationService, CampaignRequest
 from repro.service.client import AllocationClient
 from repro.service.server import start_in_thread
 
 
-def run_remote_campaign(
-    client: AllocationClient, backend: str = "numpy", binary: bool = False
-) -> None:
+def run_remote_campaign(client: AllocationClient, binary: bool = False) -> None:
     """Submit a 48-hour fleet study over HTTP and stream the columns back."""
-    request = CampaignRequest(
-        hours=48, alphas=(1.0,), baselines=("DP1",), backend=backend
-    )
+    request = CampaignRequest(hours=48, alphas=(1.0,), baselines=("DP1",))
     submitted = client.submit_campaign(request)
     print(f"\nCampaign {submitted.campaign_id} submitted "
           f"({submitted.cells} cells); polling...")
@@ -311,9 +291,6 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=2,
                         help="engine workers fanning batched solves "
                              "(1 solves inline on the event loop)")
-    parser.add_argument("--backend", choices=BACKENDS, default="numpy",
-                        help="numeric backend the service solves with "
-                             "(see 'Choosing a backend' above)")
     parser.add_argument("--campaign", action="store_true",
                         help="also run a fleet campaign over HTTP and "
                              "stream its columns back")
@@ -332,7 +309,6 @@ def main() -> None:
     service = AllocationService(
         window_s=args.window_ms / 1000.0, workers=args.workers,
         campaign_workers=args.campaign_workers,
-        default_backend=args.backend,
     )
     with start_in_thread(service) as server:
         print(f"Allocation service listening on {server.base_url}")
@@ -447,8 +423,7 @@ def main() -> None:
             )
 
         if args.campaign:
-            run_remote_campaign(client, backend=args.backend,
-                                binary=args.binary)
+            run_remote_campaign(client, binary=args.binary)
 
     if args.durable:
         run_durable_walkthrough()

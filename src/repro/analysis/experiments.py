@@ -417,7 +417,6 @@ def run_fleet_campaign_experiment(
     forecast: str = "perfect",
     forecast_noise: float = 0.2,
     forecast_seed: int = 7,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Fleet study: (scenario x policy x alpha) campaign grid in one run.
 
@@ -458,10 +457,9 @@ def run_fleet_campaign_experiment(
     labels = [f"exposure={factor:g}" for factor in exposure_factors]
     policies: List[object] = []
     for alpha in alphas:
-        policies.append(ReapPolicy(points, alpha=alpha, backend=backend))
+        policies.append(ReapPolicy(points, alpha=alpha))
         policies.extend(
-            StaticPolicy(points, name, alpha=alpha, backend=backend)
-            for name in baselines
+            StaticPolicy(points, name, alpha=alpha) for name in baselines
         )
         policies.extend(
             PlanningPolicy(
@@ -472,7 +470,6 @@ def run_fleet_campaign_experiment(
                 forecast_noise=forecast_noise,
                 forecast_seed=forecast_seed,
                 alpha=alpha,
-                backend=backend,
             )
             for planner in planners
         )
@@ -486,14 +483,14 @@ def run_fleet_campaign_experiment(
             scenarios,
             policies,
             trace,
-            CampaignConfig(use_battery=use_battery, backend=backend),
+            CampaignConfig(use_battery=use_battery),
             scenario_labels=labels,
             jobs=jobs,
         )
     else:
         fleet = FleetCampaign(
             scenarios,
-            CampaignConfig(use_battery=use_battery, backend=backend),
+            CampaignConfig(use_battery=use_battery),
             scenario_labels=labels,
         )
         result = fleet.run(policies, trace)

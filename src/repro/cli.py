@@ -46,7 +46,6 @@ from repro.analysis.reporting import format_table
 from repro.analysis.sweep import EnergySweep, default_budget_grid
 from repro.core.allocator import ReapAllocator
 from repro.core.batch import BatchAllocator
-from repro.core.kernels import BACKENDS
 from repro.core.problem import ReapProblem
 from repro.data.table2 import table2_design_points
 from repro.har.classifier.train import TrainingConfig
@@ -114,15 +113,14 @@ COMMANDS: Dict[str, str] = {
     "fleet": "closed-loop fleet study; --planners adds forecast-driven "
              "planning policies, --jobs N shards the grid across "
              "processes, --remote HOST:PORT submits it to a service "
-             "(--binary fetches compact binary columns), --backend picks "
-             "the numeric kernels (numpy/compiled/float32), --profile "
+             "(--binary fetches compact binary columns), --profile "
              "writes per-phase timings to JSON",
     "plan": "single-device horizon study: forecast-driven planning "
             "(horizon-average or MPC) vs harvest-following REAP",
     "serve": "run the JSON-over-HTTP allocation service (micro-batching + "
              "cache + worker pool + versioned /v1 campaign endpoints); "
-             "--backend sets the default numeric kernels, columns stream "
-             "as NDJSON or binary (?format=binary), --slo-ms sets latency "
+             "columns stream as NDJSON or binary (?format=binary), "
+             "--slo-ms sets latency "
              "objectives (/metrics, /trace/<id>, --log-format json for "
              "traced logs), --store journals campaigns durably (restart "
              "resumes unfinished shards), --procs N shares the port "
@@ -211,7 +209,6 @@ def _command_fleet_remote(args: argparse.Namespace) -> int:
         forecast=args.forecast,
         forecast_noise=args.forecast_noise,
         forecast_seed=args.forecast_seed,
-        backend=args.backend,
     )
     client = AllocationClient(host=host or "127.0.0.1", port=port_number)
     try:
@@ -321,7 +318,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
         forecast=args.forecast,
         forecast_noise=args.forecast_noise,
         forecast_seed=args.forecast_seed,
-        backend=args.backend,
     )
     print(result.to_text())
     engine = (
@@ -449,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser = subparsers.add_parser(
         "fleet",
         help="closed-loop fleet study: scenarios x policies x alphas in one "
-             "vectorized run",
+             "vectorized run (the kernels jit when Numba is installed)",
     )
     fleet_parser.add_argument(
         "--alphas", type=float, nargs="+", default=[1.0, 2.0],
@@ -514,11 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
              "columnar wire format instead of NDJSON",
     )
     fleet_parser.add_argument(
-        "--backend", choices=BACKENDS, default="numpy",
-        help="numeric kernels for the solves and scans: numpy (reference), "
-             "compiled (Numba-jitted, graceful fallback) or float32",
-    )
-    fleet_parser.add_argument(
         "--profile", nargs="?", const="profile.json", default=None,
         metavar="PATH",
         help="write per-phase campaign timings (harvest, cell solve, scan "
@@ -578,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = subparsers.add_parser(
         "serve",
         help="run the allocation service (JSON over HTTP, micro-batched "
-             "concurrent solves, LRU result cache)",
+             "concurrent solves, LRU result cache; the kernels jit when "
+             "Numba is installed)",
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument(
@@ -611,12 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--campaign-workers", type=int, default=None,
         help="process workers for POST /campaign fleet studies "
              "(default: --workers)",
-    )
-    serve_parser.add_argument(
-        "--backend", choices=BACKENDS, default="numpy",
-        help="default numeric kernels for requests that don't pick one: "
-             "numpy (reference), compiled (Numba-jitted, graceful "
-             "fallback) or float32",
     )
     serve_parser.add_argument(
         "--log-format", choices=["text", "json"], default="text",
@@ -694,7 +680,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         workers=args.workers,
         campaign_workers=args.campaign_workers,
-        backend=args.backend,
         log_format=args.log_format,
         slo_ms=dict(slo_ms) if slo_ms else None,
     )

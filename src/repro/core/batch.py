@@ -74,18 +74,24 @@ without touching the LP again.
 
 Equivalence and scope
 ---------------------
-The engine reproduces the scalar solvers' optima exactly: it enumerates the
-same candidate vertices, applies the same feasibility tolerances and visits
-candidates in the same order as :func:`repro.core.analytic.solve_analytic`
-(all-off first, then single points, then pairs), so objectives agree with
+The production solve reads each optimum off the LP's concave value hull
+(:func:`repro.core.kernels.hull_solve`): one bracket lookup and one blend
+per (alpha, budget) cell.  The candidate enumeration described above is
+the reference: it is the only path for design-point sets without a hull (a
+design point that draws no more than the off state), and it is the oracle
+the equivalence suites compare the hull against.  It applies the same
+feasibility tolerances and visits candidates in the same order as
+:func:`repro.core.analytic.solve_analytic` (all-off first, then single
+points, then pairs), so objectives agree with
 :class:`~repro.core.allocator.ReapAllocator` to floating-point round-off.
-(Under an *exact* objective tie between two vertices -- e.g. two design
-points with identical accuracy -- either solver may return either vertex;
-the optimal value is still identical.)
-The property-based test-suite asserts this on randomized grids for all three
-scalar formulations.  The scalar simplex remains the reference implementation
-(and the only path for the two-phase ``"full"`` formulation); the batch
-engine is the fast path for grid-shaped workloads.
+Under an *exact* objective tie between two vertices -- alpha = 0, or two
+design points with identical accuracy -- the hull returns the cheapest
+optimal vertex while the enumeration returns the first-listed one; the
+optimal value is identical.  The property-based test-suite asserts this on
+randomized grids for all three scalar formulations.  The scalar simplex
+remains the reference implementation (and the only path for the two-phase
+``"full"`` formulation); the batch engine is the fast path for grid-shaped
+workloads.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,17 +126,61 @@ _VERTEX_TOLERANCE = 1e-9
 #: maximum are considered tied and the *first* candidate in canonical order
 #: (off, singles, pairs) wins.  This pins the chosen vertex at exact
 #: consumption-curve kinks -- where round-off used to flip the argmax
-#: between a saturated single and its zero-weight pair blends -- identically
-#: across backends, while perturbing reported objectives by at most 1e-10.
+#: between a saturated single and its zero-weight pair blends -- on every
+#: run, while perturbing reported objectives by at most 1e-10.
 _TIE_TOLERANCE_OBJECTIVE = 1e-10
+
+#: Per-engine bound on the lazily built per-alpha entries (solve tables,
+#: REAP curves, and static curves keyed by (policy, alpha)).  Campaigns and
+#: sweeps use a handful of alphas; the bound only stops a client sending a
+#: new alpha per request from growing a long-lived engine without limit.
+_MAX_ALPHA_ENTRIES = 64
+
+
+class BoundedLru:
+    """Thread-safe get-or-build map that keeps the ``limit`` most recent keys.
+
+    A miss builds outside the lock (a racing duplicate build is discarded
+    in favour of the entry stored first), then evicts the least recently
+    used entries beyond ``limit``.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = int(limit)
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The entry under ``key``, built with ``build()`` on a miss."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        value = build()
+        with self._lock:
+            if key in self._entries:  # lost a build race; keep the first
+                self._entries.move_to_end(key)
+                return self._entries[key]
+            self._entries[key] = value
+            while len(self._entries) > self.limit:
+                self._entries.popitem(last=False)
+        return value
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        with self._lock:
+            self._entries.clear()
+
 
 #: Process-wide engine registry behind :meth:`BatchAllocator.shared`,
 #: keyed by :meth:`BatchAllocator.engine_key`.  Bounded LRU so pathological
 #: parameter churn (e.g. fuzzing over random design sets) cannot pin
 #: unbounded solve tables in memory.
-_SHARED_ENGINES: "OrderedDict[tuple, BatchAllocator]" = OrderedDict()
-_SHARED_ENGINES_LOCK = threading.Lock()
 _MAX_SHARED_ENGINES = 32
+_SHARED_ENGINES = BoundedLru(_MAX_SHARED_ENGINES)
 
 
 @dataclass(frozen=True)
@@ -460,12 +510,6 @@ class BatchAllocator:
         Activity period :math:`T_P` in seconds.
     off_power_w:
         Power consumed in the off state.
-    backend:
-        Numeric backend for the raw-array solves: ``"numpy"`` (the float64
-        reference), ``"compiled"`` (Numba-jitted value-hull kernel with a
-        graceful NumPy fallback, 1e-9 agreement) or ``"float32"``
-        (single-precision SIMD-friendly hull kernel, 1e-4 agreement).  See
-        :mod:`repro.core.kernels`.
     """
 
     def __init__(
@@ -473,7 +517,6 @@ class BatchAllocator:
         design_points: Sequence[DesignPoint],
         period_s: float = ACTIVITY_PERIOD_S,
         off_power_w: float = OFF_STATE_POWER_W,
-        backend: str = "numpy",
     ) -> None:
         validate_design_points(design_points)
         if period_s <= 0:
@@ -483,15 +526,12 @@ class BatchAllocator:
         self.design_points = tuple(design_points)
         self.period_s = float(period_s)
         self.off_power_w = float(off_power_w)
-        self.backend = kernels.validate_backend(backend)
-        # Value-hull tables of the accelerated solve path, built lazily
-        # once per alpha (see kernels.build_solve_tables).
-        self._solve_tables: dict = {}
-        # Consumption curves probe dozens of reference solves each; cache
-        # them per alpha (and per static policy) like the solve tables.
-        # Benign GIL-level race: a duplicate build, never a wrong result.
-        self._curve_cache: dict = {}
-        self._static_curve_cache: dict = {}
+        # Value-hull tables of the solve, built lazily once per alpha (see
+        # kernels.build_solve_tables), and the consumption curves, which
+        # probe several solves each, per alpha and per static policy.
+        self._solve_tables = BoundedLru(_MAX_ALPHA_ENTRIES)
+        self._curve_cache = BoundedLru(_MAX_ALPHA_ENTRIES)
+        self._static_curve_cache = BoundedLru(_MAX_ALPHA_ENTRIES)
 
         self._powers = np.array([dp.power_w for dp in self.design_points])
         self._accuracies = np.array([dp.accuracy for dp in self.design_points])
@@ -523,7 +563,6 @@ class BatchAllocator:
         design_points: Sequence[DesignPoint],
         period_s: float = ACTIVITY_PERIOD_S,
         off_power_w: float = OFF_STATE_POWER_W,
-        backend: str = "numpy",
     ) -> "BatchAllocator":
         """Process-wide engine for these parameters, built at most once.
 
@@ -535,34 +574,15 @@ class BatchAllocator:
         ten of each -- and a warm campaign worker reuses them across
         cells, tasks and campaigns.  Thread-safe; bounded LRU.
         """
-        backend = kernels.validate_backend(backend)
         key = (
             canonical_design_key(tuple(design_points)),
             float(period_s),
             float(off_power_w),
         )
-        if backend != "numpy":
-            key += (backend,)
-        with _SHARED_ENGINES_LOCK:
-            engine = _SHARED_ENGINES.get(key)
-            if engine is not None:
-                _SHARED_ENGINES.move_to_end(key)
-                return engine
-        engine = cls(
-            design_points,
-            period_s=period_s,
-            off_power_w=off_power_w,
-            backend=backend,
+        return _SHARED_ENGINES.get(
+            key,
+            lambda: cls(design_points, period_s=period_s, off_power_w=off_power_w),
         )
-        with _SHARED_ENGINES_LOCK:
-            existing = _SHARED_ENGINES.get(key)
-            if existing is not None:  # lost a build race; keep the warm one
-                _SHARED_ENGINES.move_to_end(key)
-                return existing
-            _SHARED_ENGINES[key] = engine
-            while len(_SHARED_ENGINES) > _MAX_SHARED_ENGINES:
-                _SHARED_ENGINES.popitem(last=False)
-        return engine
 
     # --- convenience ----------------------------------------------------------
     def engine_key(self) -> tuple:
@@ -574,20 +594,12 @@ class BatchAllocator:
         requests by this key so each group dispatches as one batched solve,
         and :meth:`ReapProblem.canonical_key` extends it with the per-request
         budget and alpha to form the result-cache key.
-
-        A non-default ``backend`` is appended as a trailing element so
-        cached results never cross numeric backends; the default
-        ``"numpy"`` keeps the historical three-element key (and therefore
-        its equality with :meth:`ReapProblem.canonical_key` prefixes).
         """
-        key = (
+        return (
             canonical_design_key(self.design_points),
             self.period_s,
             self.off_power_w,
         )
-        if self.backend != "numpy":
-            key += (self.backend,)
-        return key
 
     @property
     def num_design_points(self) -> int:
@@ -688,7 +700,7 @@ class BatchAllocator:
         # maximum counts as tied and the earliest one wins, so round-off at
         # an exact consumption-curve kink (where a saturated single equals
         # its zero-weight pair blends) cannot flip the chosen vertex
-        # between runs or backends.
+        # between runs.
         values = np.concatenate([value_off, value_single, value_pair], axis=2)
         tie_tol = _TIE_TOLERANCE_OBJECTIVE * self.period_s
         best = values.max(axis=2, keepdims=True)
@@ -740,16 +752,9 @@ class BatchAllocator:
         alpha_grid = np.array([validate_alpha(a) for a in np.atleast_1d(alphas)])
         if alpha_grid.size == 0:
             raise ValueError("alpha grid is empty")
-
-        # Objective weights a_i^alpha for every alpha: (A, N).  numpy already
-        # yields 0**0 == 1, matching DesignPoint.weighted_accuracy.
-        weights = self._accuracies[None, :] ** alpha_grid[:, None]
-        times, feasible = self._winner_times(budgets, weights)
-
-        active = times.sum(axis=2)                                 # (A, B)
-        objective = np.einsum("abn,an->ab", times, weights) / self.period_s
-        accuracy = (times @ self._accuracies) / self.period_s
-        energy = times @ self._powers + self.off_power_w * (self.period_s - active)
+        times, feasible, objective, accuracy, active, energy = self._solve(
+            budgets, alpha_grid
+        )
         return BatchGridResult(
             design_points=self.design_points,
             budgets_j=budgets,
@@ -763,6 +768,44 @@ class BatchAllocator:
             period_s=self.period_s,
             off_power_w=self.off_power_w,
         )
+
+    def _solve(self, budgets: np.ndarray, alpha_grid: np.ndarray) -> tuple:
+        """The production (A, B) solve: the value hull, else the reference.
+
+        Returns ``(times, feasible, objective, accuracy, active, energy)``
+        in the :class:`BatchGridResult` layout.  ``solve_arrays`` is the
+        ``A = 1`` case of the same call, so a single-alpha grid and the
+        raw arrays of that alpha are bit-identical.
+        """
+        tables = [self._hull_tables(float(alpha)) for alpha in alpha_grid]
+        if any(table is None for table in tables):
+            return self._solve_reference(budgets, alpha_grid)
+        return kernels.hull_solve(
+            budgets, tables, self._accuracies, self.period_s,
+            self.num_design_points,
+        )
+
+    def _hull_tables(self, alpha: float) -> Optional[tuple]:
+        """The cached value hull of one alpha (``None``: no hull exists)."""
+        return self._solve_tables.get(
+            alpha,
+            lambda: kernels.build_solve_tables(
+                self._powers, self._accuracies, alpha, self.period_s,
+                self.off_power_w,
+            ),
+        )
+
+    def _solve_reference(self, budgets: np.ndarray, alpha_grid: np.ndarray) -> tuple:
+        """The candidate-enumeration solve (:meth:`_solve`'s layout)."""
+        # Objective weights a_i^alpha for every alpha: (A, N).  numpy already
+        # yields 0**0 == 1, matching DesignPoint.weighted_accuracy.
+        weights = self._accuracies[None, :] ** alpha_grid[:, None]
+        times, feasible = self._winner_times(budgets, weights)
+        active = times.sum(axis=2)                                 # (A, B)
+        objective = np.einsum("abn,an->ab", times, weights) / self.period_s
+        accuracy = (times @ self._accuracies) / self.period_s
+        energy = times @ self._powers + self.off_power_w * (self.period_s - active)
+        return times, feasible, objective, accuracy, active, energy
 
     def solve_budgets(
         self, budgets_j: Sequence[float], alpha: float = 1.0
@@ -787,79 +830,34 @@ class BatchAllocator:
         This is the fleet-campaign fast path: per-DP time matrices, the
         objective/accuracy/energy series and the feasibility mask, with no
         per-cell :class:`TimeAllocation` objects.
-
-        Under a non-default ``backend`` the solve runs through the
-        accelerated value-hull kernel of :mod:`repro.core.kernels`
-        (falling back to this reference enumeration for degenerate
-        design-point sets where the hull does not exist).
         """
         budgets = self._validate_budgets(budgets_j)
         alpha = validate_alpha(alpha)
-        if self.backend != "numpy":
-            fast = self._solve_arrays_fast(budgets, alpha)
-            if fast is not None:
-                return fast
-        return self._solve_arrays_reference(budgets, alpha)
+        return self._arrays(
+            budgets, alpha, self._solve(budgets, np.array([alpha]))
+        )
 
     def _solve_arrays_reference(
         self, budgets: np.ndarray, alpha: float
     ) -> BatchArrays:
-        """The float64 candidate-enumeration solve, backend-independent."""
-        weights = self._accuracies[None, :] ** alpha               # (1, N)
-        times, feasible = self._winner_times(budgets, weights)
-        times = times[0]                                           # (B, N)
-        active = times.sum(axis=1)
-        return BatchArrays(
-            design_points=self.design_points,
-            budgets_j=budgets,
-            alpha=alpha,
-            times_s=times,
-            feasible=feasible,
-            objective=(times @ weights[0]) / self.period_s,
-            expected_accuracy=(times @ self._accuracies) / self.period_s,
-            active_time_s=active,
-            energy_j=times @ self._powers
-            + self.off_power_w * (self.period_s - active),
-            period_s=self.period_s,
-            off_power_w=self.off_power_w,
+        """:meth:`solve_arrays` through the candidate enumeration (the oracle)."""
+        return self._arrays(
+            budgets, alpha, self._solve_reference(budgets, np.array([alpha]))
         )
 
-    def _solve_arrays_fast(
-        self, budgets: np.ndarray, alpha: float
-    ) -> Optional[BatchArrays]:
-        """Accelerated solve via the value hull (``None`` -> no fast path)."""
-        dtype = np.float32 if self.backend == "float32" else np.float64
-        cached = self._solve_tables.get(alpha)
-        if cached is None:
-            cached = kernels.build_solve_tables(
-                self._powers,
-                self._accuracies,
-                alpha,
-                self.period_s,
-                self.off_power_w,
-                dtype=dtype,
-            )
-            self._solve_tables[alpha] = (cached,)
-        else:
-            (cached,) = cached
-        if cached is None:
-            return None
-        times, feasible, objective, accuracy, active, energy = (
-            kernels.hull_solve(
-                budgets, cached, self.period_s, self.num_design_points,
-                self.backend,
-            )
-        )
+    def _arrays(self, budgets: np.ndarray, alpha: float, solved: tuple) -> BatchArrays:
+        """Row 0 of a one-alpha :meth:`_solve` result as :class:`BatchArrays`."""
+        times, feasible, objective, accuracy, active, energy = solved
         return BatchArrays(
             design_points=self.design_points,
             budgets_j=budgets,
             alpha=alpha,
-            times_s=times,
+            times_s=times[0],
             feasible=feasible,
-            objective=objective,
-            expected_accuracy=accuracy,
-            active_time_s=active,
-            energy_j=energy,
+            objective=objective[0],
+            expected_accuracy=accuracy[0],
+            active_time_s=active[0],
+            energy_j=energy[0],
             period_s=self.period_s,
             off_power_w=self.off_power_w,
         )
@@ -928,38 +926,32 @@ class BatchAllocator:
                 "a design point draws no more than the off state; consumption "
                 "is not piecewise-linear over the saturation breakpoints"
             )
-        # Probe the float64 reference solve regardless of the backend: the
-        # curve encodes the exact LP structure (its validation demands 1e-9
-        # linearity, which float32 round-off cannot meet), and the fast
-        # backends consume it through the fused tables instead.  Curves are
-        # immutable, so one probe per alpha serves the engine's lifetime.
+        # Probe the production solve: the battery scan then draws exactly
+        # the energy the cell's allocations report, tied optima included
+        # (where the hull and the enumeration pick different vertices).
+        # Curves are immutable, so one probe per alpha serves every caller.
         probe_alpha = validate_alpha(alpha)
-        cached = self._curve_cache.get(probe_alpha)
-        if cached is None:
-            cached = ConsumptionCurve.from_probe(
+        return self._curve_cache.get(
+            probe_alpha,
+            lambda: ConsumptionCurve.from_probe(
                 self._curve_breakpoints(),
-                lambda budgets: self._solve_arrays_reference(
-                    self._validate_budgets(budgets), probe_alpha
-                ).device_consumption_j,
-            )
-            self._curve_cache[probe_alpha] = cached
-        return cached
+                lambda budgets: self.device_consumption(budgets, probe_alpha),
+            ),
+        )
 
     def static_consumption_curve(
         self, name: str, alpha: float = 1.0
     ) -> ConsumptionCurve:
         """Piecewise-linear consumption-of-budget for one static policy."""
-        key = (name, validate_alpha(alpha))
-        cached = self._static_curve_cache.get(key)
-        if cached is None:
-            cached = ConsumptionCurve.from_probe(
+        return self._static_curve_cache.get(
+            (name, validate_alpha(alpha)),
+            lambda: ConsumptionCurve.from_probe(
                 self._curve_breakpoints(),
                 lambda budgets: self.static_arrays(
                     name, budgets, alpha=alpha
                 ).device_consumption_j,
-            )
-            self._static_curve_cache[key] = cached
-        return cached
+            ),
+        )
 
     # --- static (single design point) baselines --------------------------------
     def static_active_times(self, name: str, budgets_j: Sequence[float]) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Accelerated kernels for the three hot loops behind the engine key.
+"""The production kernels behind the batch, fleet and planning engines.
 
-The reproduction's hot paths are, after PRs 1-5, three tight array
-programs:
+The reproduction's hot paths are three tight array programs:
 
-1. :meth:`~repro.core.batch.BatchAllocator.solve_arrays` -- candidate-vertex
-   scoring and argmax over a budget vector,
+1. :meth:`~repro.core.batch.BatchAllocator.solve_arrays` and
+   :meth:`~repro.core.batch.BatchAllocator.solve_grid` -- the REAP optimum
+   of every (alpha, budget) cell,
 2. the :class:`~repro.energy.fleet.BatteryScan` grant/settle recurrence over
    the piecewise-linear consumption curve (the one loop NumPy cannot
    vectorize away: each period's budget depends on the previous period's
@@ -12,49 +12,50 @@ programs:
 3. :meth:`~repro.planning.horizon.MpcPlanner.sustainable` -- the MPC grid
    refinement's window projection.
 
-This module provides the *raw-speed tier* for all three, selected by a
-``backend`` string threaded through the engines:
+There is one production path for each, and it is not a user option:
 
-``"numpy"``
-    The existing float64 reference implementations (unchanged, and still
-    the cross-checked source of truth).
-``"compiled"``
-    Numba-jitted scalar loops when Numba is importable, with a **graceful
-    pure-Python/NumPy fallback** when it is not (the container image does
-    not ship Numba; CI has an optional-deps job that does).  Agreement
-    with the reference is 1e-9 on objectives, trajectories and plan
-    budgets.
-``"float32"``
-    Single-precision SIMD-friendly NumPy paths (half the memory traffic,
-    wider vector lanes).  Agreement with the reference is 1e-4.
+* When Numba imports, every kernel runs its jitted scalar loop.  The first
+  compile or dispatch failure switches the process to the fallbacks for
+  good (:func:`numba_ready`).
+* Without Numba, the solve runs the vectorized value-hull pass below.  The
+  battery scan runs a pure-Python scalar recurrence for fleets of at most
+  ``_SCALAR_SCAN_MAX_DEVICES`` devices, where Python floats beat NumPy's
+  per-period dispatch.  The MPC projection runs a fused float64 window
+  scan once the candidate grid has ``_MPC_FUSED_MIN_ELEMENTS`` elements.
+  Both thresholds are measured crossovers.
+* Where no kernel applies -- a design point that draws no more than the off
+  state (no hull), curves on mixed grids (no fused tables), or a wide fleet
+  or small MPC grid without Numba -- the helpers return ``None`` and the
+  callers run their reference implementations:
+  :meth:`~repro.core.batch.BatchAllocator._solve_arrays_reference` (the
+  candidate-vertex enumeration), the per-period loop of
+  :meth:`~repro.energy.fleet.BatteryScan._run_reference` and the unfused
+  projection of
+  :meth:`~repro.planning.horizon.MpcPlanner._sustainable_reference`.
+  Those references are also the oracles the equivalence suites compare
+  against at 1e-9.
 
-Design notes
-------------
-The compiled/float32 ``solve_arrays`` path does not re-enumerate the
-``1 + N + N(N-1)/2`` candidate vertices per budget.  Because the REAP LP's
-value function ``J*(E)`` is the **upper concave, non-decreasing hull** of
-the pure-vertex points ``{(E_floor, 0)} U {(P_i * T, w_i * T)}`` (flat past
-the last hull vertex), a solve collapses to one ``searchsorted`` over the
-hull breakpoints plus a linear blend of the two bracketing hull vertices:
-``O(B log N)`` instead of ``O(B * N^2)``, with bit-equal objectives at the
-hull vertices.  The hull only exists when every design point out-draws the
+The value hull
+--------------
+The solve does not enumerate the ``1 + N + N(N-1)/2`` candidate vertices
+per budget.  The REAP LP's value function ``J*(E)`` is the **upper concave,
+non-decreasing hull** of the pure-vertex points
+``{(E_floor, 0)} U {(P_i * T, w_i * T)}`` (flat past the last hull vertex),
+so a solve is one bracket lookup over the hull breakpoints plus a linear
+blend of the two bracketing hull vertices: at most ``O(B * N)`` work
+instead of ``O(B * N^2)``.  The hull only exists when every design point out-draws the
 off state (the same precondition as
-:meth:`~repro.core.batch.BatchAllocator.consumption_curve`); degenerate
-sets fall back to the reference path.
-
-Every public helper in this module either returns plain arrays or ``None``
-meaning "no fast path applies here -- use the reference"; callers never
-need to know whether Numba is present.
+:meth:`~repro.core.batch.BatchAllocator.consumption_curve`).  At exactly
+tied optima (alpha = 0, or two design points of equal accuracy) the hull
+returns the cheapest optimal vertex; the enumeration returns the
+first-listed one.  Objectives are equal either way.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-
-#: Backend names accepted by the engines (first one is the default).
-BACKENDS = ("numpy", "compiled", "float32")
 
 try:  # pragma: no cover - exercised only in the optional-deps CI job
     from numba import njit
@@ -80,15 +81,8 @@ except Exception:  # pragma: no cover - the common, numba-less environment
 _NUMBA_BROKEN = False
 
 
-def validate_backend(backend: str) -> str:
-    """Check a backend name (raises ``ValueError`` when unknown)."""
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    return backend
-
-
 def numba_ready() -> bool:
-    """True when the ``compiled`` backend can actually jit."""
+    """True when the kernels actually jit (Numba imported and working)."""
     return HAVE_NUMBA and not _NUMBA_BROKEN
 
 
@@ -104,7 +98,7 @@ def _numba_call(jitted, *args):
 
 
 # ---------------------------------------------------------------------------
-# Kernel 1: solve_arrays via the concave value hull
+# Kernel 1: the REAP solve via the concave value hull
 # ---------------------------------------------------------------------------
 def build_solve_tables(
     powers: np.ndarray,
@@ -112,16 +106,15 @@ def build_solve_tables(
     alpha: float,
     period_s: float,
     off_power_w: float,
-    dtype=np.float64,
 ) -> Optional[tuple]:
     """Precompute the value hull of one (engine, alpha) pair.
 
-    Returns ``(hull_energy, hull_value, hull_index, accuracies)`` where the
-    hull arrays hold one entry per hull vertex -- vertex 0 is the all-off
-    floor (``hull_index[0] == -1``), later vertices are design points in
-    increasing energy.  Returns ``None`` when the hull does not exist (a
-    design point draws no more than the off state), in which case callers
-    must use the reference candidate enumeration.
+    Returns ``(hull_energy, hull_value, hull_index)`` with one entry per
+    hull vertex -- vertex 0 is the all-off floor (``hull_index[0] == -1``),
+    later vertices are design points in increasing energy.  Returns
+    ``None`` when the hull does not exist (a design point draws no more
+    than the off state) or holds no design point (every weight is zero), in
+    which case callers must use the reference candidate enumeration.
     """
     marginal = powers - off_power_w
     if np.any(marginal <= 0):
@@ -150,136 +143,156 @@ def build_solve_tables(
         hull_e.append(energy)
         hull_v.append(value)
         hull_i.append(int(i))
+    if len(hull_e) < 2:
+        return None
     return (
-        np.asarray(hull_e, dtype=dtype),
-        np.asarray(hull_v, dtype=dtype),
+        np.asarray(hull_e, dtype=np.float64),
+        np.asarray(hull_v, dtype=np.float64),
         np.asarray(hull_i, dtype=np.int64),
-        np.asarray(accuracies, dtype=dtype),
     )
 
 
 @njit(cache=False)
 def _hull_solve_jit(  # pragma: no cover - requires numba
-    budgets, hull_e, hull_v, hull_i, acc, period, floor,
+    budgets, hull_e, hull_v, hull_i, counts, acc, period, floor,
     times, feasible, objective, accuracy, active, energy,
 ):
-    num_budgets = budgets.shape[0]
-    num_vertices = hull_e.shape[0]
+    num_alphas, num_budgets = objective.shape
     for row in range(num_budgets):
-        budget = budgets[row]
-        if budget < floor - 1e-12:
-            feasible[row] = False
-            energy[row] = floor
-            continue
-        feasible[row] = True
-        clamped = budget
-        if clamped > hull_e[num_vertices - 1]:
-            clamped = hull_e[num_vertices - 1]
-        if clamped < hull_e[0]:
-            clamped = hull_e[0]
-        lo, hi = 0, num_vertices
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if hull_e[mid] <= clamped:
-                lo = mid + 1
+        feasible[row] = budgets[row] >= floor - 1e-12
+    for a in range(num_alphas):
+        num_vertices = counts[a]
+        top = hull_e[a, num_vertices - 1]
+        for row in range(num_budgets):
+            if not feasible[row]:
+                energy[a, row] = floor
+                continue
+            clamped = budgets[row]
+            if clamped > top:
+                clamped = top
+            if clamped < floor:
+                clamped = floor
+            lo, hi = 0, num_vertices
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if hull_e[a, mid] <= clamped:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            k = lo - 1
+            if k > num_vertices - 2:
+                k = num_vertices - 2
+            if k < 0:
+                k = 0
+            lam = (clamped - hull_e[a, k]) / (hull_e[a, k + 1] - hull_e[a, k])
+            t_right = lam * period
+            t_left = period - t_right
+            left, right = hull_i[a, k], hull_i[a, k + 1]
+            times[a, row, right] = t_right
+            if left >= 0:
+                times[a, row, left] = t_left
+                active[a, row] = period
+                accuracy[a, row] = (
+                    t_left * acc[left] + t_right * acc[right]
+                ) / period
             else:
-                hi = mid
-        k = lo - 1
-        if k > num_vertices - 2:
-            k = num_vertices - 2
-        if k < 0:
-            k = 0
-        lam = (clamped - hull_e[k]) / (hull_e[k + 1] - hull_e[k])
-        t_right = lam * period
-        t_left = period - t_right
-        left, right = hull_i[k], hull_i[k + 1]
-        times[row, right] = t_right
-        if left >= 0:
-            times[row, left] = t_left
-            active[row] = period
-            accuracy[row] = (t_left * acc[left] + t_right * acc[right]) / period
-        else:
-            active[row] = t_right
-            accuracy[row] = t_right * acc[right] / period
-        objective[row] = (hull_v[k] + lam * (hull_v[k + 1] - hull_v[k])) / period
-        energy[row] = clamped
+                active[a, row] = t_right
+                accuracy[a, row] = t_right * acc[right] / period
+            objective[a, row] = (
+                hull_v[a, k] + lam * (hull_v[a, k + 1] - hull_v[a, k])
+            ) / period
+            energy[a, row] = clamped
 
 
 def _hull_solve_numpy(
-    budgets: np.ndarray, tables: tuple, period_s: float, num_points: int, dtype
+    budgets, hull_e, hull_v, hull_i, counts, acc, period, num_points
 ) -> tuple:
-    hull_e, hull_v, hull_i, acc = tables
-    b = budgets.astype(dtype, copy=False)
-    period = dtype(period_s)
-    floor = hull_e[0]
-    feasible = b >= floor - dtype(1e-12)
-    clamped = np.clip(b, floor, hull_e[-1])
-    k = np.searchsorted(hull_e, clamped, side="right") - 1
-    np.clip(k, 0, hull_e.size - 2, out=k)
-    lam = (clamped - hull_e[k]) / (hull_e[k + 1] - hull_e[k])
-    t_right = np.where(feasible, lam * period, dtype(0.0))
-    left, right = hull_i[k], hull_i[k + 1]
-    has_left = left >= 0
-    t_left = np.where(has_left & feasible, period - t_right, dtype(0.0))
-    times = np.zeros((b.size, num_points), dtype=dtype)
-    rows = np.arange(b.size)
-    times[rows, right] = t_right
-    lr = rows[has_left]
-    times[lr, left[has_left]] = t_left[has_left]
-    value = hull_v[k] + lam * (hull_v[k + 1] - hull_v[k])
-    objective = np.where(feasible, value / period, dtype(0.0))
+    """The (A, B) hull pass as whole-array operations on flat indices."""
+    num_alphas, width = hull_e.shape
+    num_budgets = budgets.size
+    floor = hull_e[0, 0]
+    feasible = budgets >= floor - 1e-12
+    row_start = np.arange(0, num_alphas * width, width)
+    top = hull_e.take(row_start + counts - 1)[:, None]
+    clamped = np.minimum(np.maximum(budgets, floor), top)          # (A, B)
+    # Bracket lookup: the last hull vertex at or below the clamped budget.
+    k = np.empty((num_alphas, num_budgets), dtype=np.int64)
+    for row, count in enumerate(counts.tolist()):
+        k[row] = hull_e[row, :count].searchsorted(clamped[row], side="right")
+    k -= 1
+    np.minimum(k, counts[:, None] - 2, out=k)
+    lo = k + row_start[:, None]                  # flat index of the left vertex
+    hi = lo + 1
+    e_lo = hull_e.take(lo)
+    lam = (clamped - e_lo) / (hull_e.take(hi) - e_lo)
+    t_right = np.where(feasible, lam * period, 0.0)
+    left, right = hull_i.take(lo), hull_i.take(hi)
+    has_left = (left >= 0) & feasible
+    t_left = np.where(has_left, period - t_right, 0.0)
+    cell = np.arange(0, num_alphas * num_budgets * num_points, num_points)
+    cell = cell.reshape(num_alphas, num_budgets)
+    times = np.zeros(num_alphas * num_budgets * num_points)
+    times[cell + right] = t_right
+    times[(cell + left)[has_left]] = t_left[has_left]
+    v_lo = hull_v.take(lo)
+    value = v_lo + lam * (hull_v.take(hi) - v_lo)
+    objective = np.where(feasible, value / period, 0.0)
     active = t_left + t_right
-    acc_left = np.where(has_left, acc[np.maximum(left, 0)], dtype(0.0))
+    acc_left = np.where(has_left, acc.take(np.maximum(left, 0)), 0.0)
     accuracy = np.where(
-        feasible, (t_left * acc_left + t_right * acc[right]) / period, dtype(0.0)
+        feasible, (t_left * acc_left + t_right * acc.take(right)) / period, 0.0
     )
     energy = np.where(feasible, clamped, floor)
-    return times, feasible, objective, accuracy, active, energy
+    return (
+        times.reshape(num_alphas, num_budgets, num_points),
+        feasible, objective, accuracy, active, energy,
+    )
 
 
 def hull_solve(
     budgets: np.ndarray,
-    tables: tuple,
+    tables: Sequence[tuple],
+    accuracies: np.ndarray,
     period_s: float,
     num_points: int,
-    backend: str,
 ) -> tuple:
-    """Solve a budget vector against precomputed hull tables.
+    """Solve a budget vector against the hulls of ``A`` alphas in one pass.
 
-    Returns float64 ``(times, feasible, objective, accuracy, active,
-    energy)`` matching the reference :class:`~repro.core.batch.BatchArrays`
-    field layout.  ``tables`` must come from :func:`build_solve_tables`
-    built at the matching dtype (float64 for ``compiled``, float32 for
-    ``float32``).
+    ``tables`` holds one :func:`build_solve_tables` result per alpha; they
+    are padded to one ``(A, V)`` grid, so each (alpha, budget) cell is
+    computed by the same arithmetic whatever else shares the call.
+    Returns ``(times, feasible, objective, accuracy, active, energy)``
+    shaped ``(A, B, N)``, ``(B,)`` and ``(A, B)`` -- the field layout of
+    :class:`~repro.core.batch.BatchGridResult`.
     """
-    if backend == "compiled" and numba_ready():
-        hull_e, hull_v, hull_i, acc = tables
-        b = np.ascontiguousarray(budgets, dtype=np.float64)
-        times = np.zeros((b.size, num_points))
+    num_alphas = len(tables)
+    counts = np.array([table[0].size for table in tables], dtype=np.int64)
+    width = int(counts.max())
+    hull_e = np.full((num_alphas, width), np.inf)
+    hull_v = np.zeros((num_alphas, width))
+    hull_i = np.zeros((num_alphas, width), dtype=np.int64)
+    for row, (energy, value, index) in enumerate(tables):
+        hull_e[row, : energy.size] = energy
+        hull_v[row, : value.size] = value
+        hull_i[row, : index.size] = index
+    b = np.ascontiguousarray(budgets, dtype=np.float64)
+    if numba_ready():
+        times = np.zeros((num_alphas, b.size, num_points))
         feasible = np.empty(b.size, dtype=np.bool_)
-        objective = np.zeros(b.size)
-        accuracy = np.zeros(b.size)
-        active = np.zeros(b.size)
-        energy = np.zeros(b.size)
+        objective = np.zeros((num_alphas, b.size))
+        accuracy = np.zeros_like(objective)
+        active = np.zeros_like(objective)
+        energy = np.zeros_like(objective)
         if _numba_call(
             _hull_solve_jit,
-            b, hull_e, hull_v, hull_i, acc,
-            float(period_s), float(hull_e[0]),
+            b, hull_e, hull_v, hull_i, counts, accuracies,
+            float(period_s), float(hull_e[0, 0]),
             times, feasible, objective, accuracy, active, energy,
         ):
             return times, feasible, objective, accuracy, active, energy
-    dtype = np.float32 if backend == "float32" else np.float64
-    out = _hull_solve_numpy(budgets, tables, period_s, num_points, dtype)
-    if dtype is np.float64:
-        return out
-    times, feasible, objective, accuracy, active, energy = out
-    return (
-        times.astype(np.float64),
-        feasible,
-        objective.astype(np.float64),
-        accuracy.astype(np.float64),
-        active.astype(np.float64),
-        energy.astype(np.float64),
+    return _hull_solve_numpy(
+        b, hull_e, hull_v, hull_i, counts, accuracies, float(period_s),
+        num_points,
     )
 
 
@@ -426,58 +439,6 @@ def _battery_scan_scalar(
     return budgets, consumed, charges
 
 
-def _battery_scan_numpy(
-    harvest, initial, capacity, target, max_draw, min_budget, ce, de, tables,
-    dtype,
-) -> tuple:
-    """Fused per-period vectorized recurrence at an explicit dtype.
-
-    The float32 variant halves the memory traffic of every step; the
-    float64 variant is the wide-fleet fallback of the compiled backend.
-    """
-    breakpoints, anchors, values, slopes = (
-        t.astype(dtype, copy=False) for t in tables
-    )
-    harvest = harvest.astype(dtype, copy=False)
-    capacity = capacity.astype(dtype, copy=False)
-    target = target.astype(dtype, copy=False)
-    max_draw = max_draw.astype(dtype, copy=False)
-    min_budget = min_budget.astype(dtype, copy=False)
-    ce = ce.astype(dtype, copy=False)
-    de = de.astype(dtype, copy=False)
-    num_periods, num_devices = harvest.shape
-    rows = np.arange(num_devices)
-    budgets = np.empty((num_periods, num_devices), dtype=dtype)
-    consumed = np.empty_like(budgets)
-    charges = np.empty((num_periods + 1, num_devices), dtype=dtype)
-    charge = initial.astype(dtype)
-    charges[0] = charge
-    zero = dtype(0.0)
-    for t in range(num_periods):
-        h = harvest[t]
-        contribution = np.minimum(np.maximum(charge - target, zero), max_draw)
-        shortfall = min_budget - (h + contribution)
-        extra = np.minimum(shortfall, charge * de - contribution)
-        contribution = contribution + np.maximum(zero, extra)
-        budget = h + contribution
-        index = breakpoints.searchsorted(budget, side="right") - 1
-        np.clip(index, 0, breakpoints.size - 1, out=index)
-        spent = values[rows, index] + slopes[rows, index] * (
-            budget - anchors[index]
-        )
-        accepted = np.minimum((h - spent) * ce, capacity - charge)
-        deliverable = np.minimum(spent - h, charge * de)
-        charge = np.where(
-            h >= spent,
-            charge + accepted,
-            np.maximum(zero, charge - deliverable / de),
-        )
-        budgets[t] = budget
-        consumed[t] = spent
-        charges[t + 1] = charge
-    return budgets, consumed, charges
-
-
 def battery_scan(
     harvest: np.ndarray,
     initial: np.ndarray,
@@ -488,55 +449,36 @@ def battery_scan(
     ce: np.ndarray,
     de: np.ndarray,
     tables: tuple,
-    backend: str,
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run the closed-loop recurrence on one consumption-curve grid.
 
     ``tables`` is the fused ``(breakpoints, anchors, values, slopes)`` grid
     of :meth:`~repro.core.batch.StackedConsumptionCurves.fused_tables`.
     Returns float64 ``(budgets, consumed, charges)``, or ``None`` when no
-    fast path beats the reference here (wide fleets without Numba).
+    kernel beats the reference here (wide fleets without Numba).
     """
     num_devices = harvest.shape[1]
-    if backend == "compiled":
-        if numba_ready():
-            breakpoints, anchors, values, slopes = (
-                np.ascontiguousarray(t) for t in tables
-            )
-            budgets = np.empty(harvest.shape)
-            consumed = np.empty_like(budgets)
-            charges = np.empty((harvest.shape[0] + 1, num_devices))
-            if _numba_call(
-                _battery_scan_jit,
-                np.ascontiguousarray(harvest), initial, capacity, target,
-                max_draw, min_budget, ce, de,
-                breakpoints, anchors, values, slopes,
-                budgets, consumed, charges,
-            ):
-                return budgets, consumed, charges
-        if num_devices <= _SCALAR_SCAN_MAX_DEVICES:
-            return _battery_scan_scalar(
-                harvest, initial, capacity, target, max_draw, min_budget,
-                ce, de, tables,
-            )
-        return None
-    # float32: the half-width vector step only beats the reference once the
-    # fleet is wide enough to amortise the per-period dispatch; narrow
-    # fleets take the (exact, faster) scalar recurrence instead.
+    if numba_ready():
+        breakpoints, anchors, values, slopes = (
+            np.ascontiguousarray(t) for t in tables
+        )
+        budgets = np.empty(harvest.shape)
+        consumed = np.empty_like(budgets)
+        charges = np.empty((harvest.shape[0] + 1, num_devices))
+        if _numba_call(
+            _battery_scan_jit,
+            np.ascontiguousarray(harvest), initial, capacity, target,
+            max_draw, min_budget, ce, de,
+            breakpoints, anchors, values, slopes,
+            budgets, consumed, charges,
+        ):
+            return budgets, consumed, charges
     if num_devices <= _SCALAR_SCAN_MAX_DEVICES:
         return _battery_scan_scalar(
             harvest, initial, capacity, target, max_draw, min_budget,
             ce, de, tables,
         )
-    budgets, consumed, charges = _battery_scan_numpy(
-        harvest, initial, capacity, target, max_draw, min_budget, ce, de,
-        tables, np.float32,
-    )
-    return (
-        budgets.astype(np.float64),
-        consumed.astype(np.float64),
-        charges.astype(np.float64),
-    )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -579,15 +521,9 @@ def _mpc_sustainable_jit(  # pragma: no cover - requires numba
             ok[ci, d] = good
 
 
-def _mpc_sustainable_numpy(spent, window, charge, ce, de, tol, dtype) -> np.ndarray:
+def _mpc_sustainable_numpy(spent, window, charge, ce, de, tol) -> np.ndarray:
     """Fused window scan: running (C, D) buffers instead of (W, C, D)
-    temporaries, at an explicit dtype."""
-    spent = spent.astype(dtype, copy=False)
-    window = window.astype(dtype, copy=False)
-    charge = charge.astype(dtype, copy=False)
-    ce = ce.astype(dtype, copy=False)
-    de = de.astype(dtype, copy=False)
-    tol = dtype(tol)
+    temporaries."""
     running = np.zeros_like(spent)
     ok = np.ones(spent.shape, dtype=bool)
     for w in range(window.shape[0]):
@@ -613,18 +549,17 @@ def mpc_sustainable(
     de: np.ndarray,
     tol: float,
     tables: tuple,
-    backend: str,
 ) -> Optional[np.ndarray]:
     """Sustainability mask of ``(C, D)`` candidate budgets over a window.
 
     Semantically identical to the reference
-    :meth:`~repro.planning.horizon.MpcPlanner.sustainable` with the curve
-    evaluation and the ``(W, C, D)`` projection fused into one pass.
-    Returns ``None`` when no fast path would beat the reference here
+    :meth:`~repro.planning.horizon.MpcPlanner._sustainable_reference` with
+    the curve evaluation and the ``(W, C, D)`` projection fused into one
+    pass.  Returns ``None`` when no kernel would beat the reference here
     (Numba absent and the candidate grid too small to amortise the fused
     loop).
     """
-    if backend == "compiled" and numba_ready():
+    if numba_ready():
         breakpoints, anchors, values, slopes = (
             np.ascontiguousarray(t) for t in tables
         )
@@ -645,17 +580,14 @@ def mpc_sustainable(
     spent = values[rows, index] + slopes[rows, index] * (
         budgets - anchors[index]
     )
-    dtype = np.float32 if backend == "float32" else np.float64
-    return _mpc_sustainable_numpy(spent, window, charge, ce, de, tol, dtype)
+    return _mpc_sustainable_numpy(spent, window, charge, ce, de, tol)
 
 
 __all__ = [
-    "BACKENDS",
     "HAVE_NUMBA",
     "battery_scan",
     "build_solve_tables",
     "hull_solve",
     "mpc_sustainable",
     "numba_ready",
-    "validate_backend",
 ]

@@ -27,7 +27,10 @@ LP-and-step iterations to ``periods`` vector steps.
 operation -- same clip order, same efficiency factors, same floor top-up --
 so fleet trajectories match the scalar reference to floating-point
 round-off.  The scalar classes remain the reference implementation and the
-single-device story.
+single-device story.  :meth:`BatteryScan.run` steps single-grid curve sets
+through :func:`repro.core.kernels.battery_scan`; the per-period vector loop
+of :meth:`BatteryScan._run_reference` serves every other case and is the
+kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -107,13 +110,6 @@ class BatteryScan:
         Floor on the granted budget (defaults to the off-state energy).
     charge_efficiency / discharge_efficiency:
         Round-trip loss factors of the store.
-    backend:
-        Numeric backend for :meth:`run`: ``"numpy"`` (the reference
-        per-period vector loop), ``"compiled"`` (Numba-jitted scalar
-        recurrence with a graceful fallback) or ``"float32"``.  The fast
-        paths apply when the consumption function is a single-grid
-        :class:`~repro.core.batch.StackedConsumptionCurves`; anything else
-        runs the reference loop regardless (see :mod:`repro.core.kernels`).
     """
 
     def __init__(
@@ -128,12 +124,10 @@ class BatteryScan:
         # cannot drift if the battery model is retuned.
         charge_efficiency: ArrayLike = Battery.charge_efficiency,
         discharge_efficiency: ArrayLike = Battery.discharge_efficiency,
-        backend: str = "numpy",
     ) -> None:
         if num_devices < 1:
             raise ValueError(f"need at least one device, got {num_devices}")
         self.num_devices = int(num_devices)
-        self.backend = kernels.validate_backend(backend)
 
         def spread(value: ArrayLike) -> np.ndarray:
             array = np.broadcast_to(
@@ -233,12 +227,15 @@ class BatteryScan:
             )
         if np.any(harvest < 0):
             raise ValueError("harvest must be non-negative")
+        fast = self._run_fast(harvest, consumption)
+        if fast is not None:
+            return fast
+        return self._run_reference(harvest, consumption)
 
-        if self.backend != "numpy":
-            fast = self._run_fast(harvest, consumption)
-            if fast is not None:
-                return fast
-
+    def _run_reference(
+        self, harvest: np.ndarray, consumption: ConsumptionFn
+    ) -> BatteryScanResult:
+        """The per-period vector loop (any consumption function)."""
         num_periods = harvest.shape[0]
         budgets = np.empty((num_periods, self.num_devices))
         consumed = np.empty_like(budgets)
@@ -264,9 +261,9 @@ class BatteryScan:
     def _run_fast(
         self, harvest: np.ndarray, consumption: ConsumptionFn
     ) -> Optional["BatteryScanResult"]:
-        """Accelerated recurrence via the fused scan kernel.
+        """The recurrence through the fused scan kernel.
 
-        Returns ``None`` when no fast path applies: the consumption
+        Returns ``None`` when the kernel does not apply: the consumption
         function is not a single-grid stacked curve set, or the fleet is
         too wide for the Numba-less scalar fallback to win.
         """
@@ -286,7 +283,6 @@ class BatteryScan:
             self.charge_efficiency,
             self.discharge_efficiency,
             tables,
-            self.backend,
         )
         if result is None:
             return None

@@ -116,22 +116,14 @@ class PlanBattery:
 
 
 class HorizonPlanner(abc.ABC):
-    """Base class for lookahead-driven budget planners.
+    """Base class for lookahead-driven budget planners."""
 
-    ``backend`` selects the numeric backend of the planner's inner loops
-    (see :mod:`repro.core.kernels`); the closed-form
-    :class:`HorizonAverageAllocator` has no hot loop and simply records it,
-    while :class:`MpcPlanner` routes its sustainability projection through
-    the fused/compiled kernels.
-    """
-
-    def __init__(self, horizon_periods: int, backend: str = "numpy") -> None:
+    def __init__(self, horizon_periods: int) -> None:
         if horizon_periods < 1:
             raise ValueError(
                 f"horizon must be >= 1 period, got {horizon_periods}"
             )
         self.horizon_periods = int(horizon_periods)
-        self.backend = kernels.validate_backend(backend)
 
     @abc.abstractmethod
     def step_budgets(
@@ -228,9 +220,8 @@ class MpcPlanner(HorizonPlanner):
         passes: int = 3,
         candidates: int = 16,
         feasibility_tol_j: float = 1e-9,
-        backend: str = "numpy",
     ) -> None:
-        super().__init__(horizon_periods, backend=backend)
+        super().__init__(horizon_periods)
         if passes < 1:
             raise ValueError(f"passes must be >= 1, got {passes}")
         if candidates < 3:
@@ -265,27 +256,42 @@ class MpcPlanner(HorizonPlanner):
         weighted) harvest-minus-consumption deltas of the periods before
         it.  Sustainability requires every period's consumption to fit in
         its forecast harvest plus the store's deliverable charge.
+        Single-grid curve sets run the fused
+        :func:`repro.core.kernels.mpc_sustainable`; everything else runs
+        :meth:`_sustainable_reference`.
         """
         budgets = np.asarray(budgets_j, dtype=float)
         squeeze = budgets.ndim == 1
         if squeeze:
             budgets = budgets[None, :]
-        if self.backend != "numpy":
-            tables = getattr(consumption, "fused_tables", None)
-            tables = tables() if tables is not None else None
-            if tables is not None:
-                ok = kernels.mpc_sustainable(
-                    budgets,
-                    window,
-                    charge_j,
-                    battery.charge_efficiency,
-                    battery.discharge_efficiency,
-                    self.feasibility_tol_j,
-                    tables,
-                    self.backend,
-                )
-                if ok is not None:
-                    return ok[0] if squeeze else ok
+        ok = None
+        tables = getattr(consumption, "fused_tables", None)
+        tables = tables() if tables is not None else None
+        if tables is not None:
+            ok = kernels.mpc_sustainable(
+                budgets,
+                window,
+                charge_j,
+                battery.charge_efficiency,
+                battery.discharge_efficiency,
+                self.feasibility_tol_j,
+                tables,
+            )
+        if ok is None:
+            ok = self._sustainable_reference(
+                budgets, window, charge_j, battery, consumption
+            )
+        return ok[0] if squeeze else ok
+
+    def _sustainable_reference(
+        self,
+        budgets: np.ndarray,
+        window: np.ndarray,
+        charge_j: np.ndarray,
+        battery: PlanBattery,
+        consumption: ConsumptionFn,
+    ) -> np.ndarray:
+        """The unfused (W, C, D) projection: (C, D) budgets in, mask out."""
         spent = consumption(budgets)                            # (C, D)
         deltas = window[:, None, :] - spent[None, :, :]         # (W, C, D)
         stored = np.where(
@@ -302,8 +308,7 @@ class MpcPlanner(HorizonPlanner):
             - window[:, None, :]
             - projected * battery.discharge_efficiency
         )
-        ok = deficit.max(axis=0) <= self.feasibility_tol_j      # (C, D)
-        return ok[0] if squeeze else ok
+        return deficit.max(axis=0) <= self.feasibility_tol_j    # (C, D)
 
     def step_budgets(
         self,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import kernels
 from repro.energy.fleet import BatteryScan, BatteryScanResult, ConsumptionFn
 from repro.planning.horizon import HorizonPlanner, PlanBattery
 
@@ -41,24 +40,11 @@ class PlanScan:
     battery:
         Per-device battery parameters and the settle implementation; its
         ``num_devices`` fixes the fleet width D.
-    backend:
-        Optional numeric backend override (see :mod:`repro.core.kernels`).
-        ``None`` keeps whatever the planner was built with; a string
-        re-points the planner's inner loops, so campaign code can thread
-        one backend choice through planner and scan alike.
     """
 
-    def __init__(
-        self,
-        planner: HorizonPlanner,
-        battery: BatteryScan,
-        backend: str = None,
-    ) -> None:
+    def __init__(self, planner: HorizonPlanner, battery: BatteryScan) -> None:
         self.planner = planner
         self.battery = battery
-        if backend is not None:
-            planner.backend = kernels.validate_backend(backend)
-        self.backend = planner.backend
 
     @property
     def num_devices(self) -> int:

@@ -26,15 +26,13 @@ built :class:`~repro.core.batch.BatchAllocator`.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core import kernels
 from repro.obs import tracing
-from repro.core.batch import BatchAllocator
+from repro.core.batch import BatchAllocator, BoundedLru
 from repro.core.design_point import DesignPoint, canonical_design_key
 from repro.data.table2 import table2_design_points
 from repro.service.requests import AllocationRequest, AllocationResponse
@@ -42,32 +40,33 @@ from repro.service.requests import AllocationRequest, AllocationResponse
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.service.pool import WorkerPool
 
+#: Engines a registry keeps: the least recently used one beyond this is
+#: dropped (and rebuilt if its design-point set comes back), so clients
+#: cycling through design-point sets cannot grow the service without limit.
+_MAX_ENGINES = 64
+
 
 class EngineRegistry:
     """Builds and reuses one :class:`BatchAllocator` per engine key.
 
     The registry also owns the service's *default* design-point set, used to
     resolve requests that leave ``design_points`` unset (the common case:
-    devices ask about budgets, not about alternative hardware).  Engine
-    construction is guarded by a lock so worker-pool threads can share one
+    devices ask about budgets, not about alternative hardware).  The engine
+    map is a thread-safe bounded LRU, so worker-pool threads can share one
     registry.
     """
 
     def __init__(
-        self,
-        default_points: Optional[Sequence[DesignPoint]] = None,
-        default_backend: str = "numpy",
+        self, default_points: Optional[Sequence[DesignPoint]] = None
     ) -> None:
         self.default_points: Tuple[DesignPoint, ...] = tuple(
             default_points if default_points is not None else table2_design_points()
         )
-        self.default_backend = kernels.validate_backend(default_backend)
         # Precomputed once: requests that leave design_points unset (the hot
         # path of a production workload) get their keys without materialising
         # a resolved request copy per call.
         self._default_dp_key = canonical_design_key(self.default_points)
-        self._engines: Dict[tuple, BatchAllocator] = {}
-        self._build_lock = threading.Lock()
+        self._engines = BoundedLru(_MAX_ENGINES)
 
     def __len__(self) -> int:
         return len(self._engines)
@@ -76,35 +75,20 @@ class EngineRegistry:
         """Fill a request's unset design points with the registry default."""
         return request.resolve(self.default_points)
 
-    def backend_of(self, request: AllocationRequest) -> str:
-        """The backend serving ``request`` (its own, or the registry default)."""
-        if request.backend is not None:
-            return request.backend
-        return self.default_backend
-
     def engine_key_of(self, request: AllocationRequest) -> tuple:
-        """``request.engine_key`` with defaults (points, backend) resolved lazily.
+        """``request.engine_key`` with the default set resolved lazily.
 
-        Mirrors :meth:`BatchAllocator.engine_key`: the reference backend
-        keeps the historical three-element key; accelerated backends append
-        theirs, so cached results never cross backends.
+        Equals :meth:`BatchAllocator.engine_key` of the serving engine.
         """
         if request.design_points is None:
-            key: tuple = (
-                self._default_dp_key,
-                float(request.period_s),
-                float(request.off_power_w),
-            )
+            design_key = self._default_dp_key
         else:
-            key = (
-                canonical_design_key(request.design_points),
-                float(request.period_s),
-                float(request.off_power_w),
-            )
-        backend = self.backend_of(request)
-        if backend != "numpy":
-            key = key + (backend,)
-        return key
+            design_key = canonical_design_key(request.design_points)
+        return (
+            design_key,
+            float(request.period_s),
+            float(request.off_power_w),
+        )
 
     def cache_key_of(self, request: AllocationRequest) -> tuple:
         """``request.cache_key`` with the default set resolved lazily."""
@@ -115,22 +99,16 @@ class EngineRegistry:
 
     def engine_for(self, request: AllocationRequest) -> BatchAllocator:
         """The shared engine serving ``request`` (built on first use)."""
-        key = self.engine_key_of(request)
-        engine = self._engines.get(key)
-        if engine is None:
-            with self._build_lock:
-                engine = self._engines.get(key)
-                if engine is None:
-                    backend = self.backend_of(request)
-                    request = self.resolve(request)
-                    engine = BatchAllocator(
-                        request.design_points,
-                        period_s=request.period_s,
-                        off_power_w=request.off_power_w,
-                        backend=backend,
-                    )
-                    self._engines[key] = engine
-        return engine
+
+        def build() -> BatchAllocator:
+            resolved = self.resolve(request)
+            return BatchAllocator(
+                resolved.design_points,
+                period_s=resolved.period_s,
+                off_power_w=resolved.off_power_w,
+            )
+
+        return self._engines.get(self.engine_key_of(request), build)
 
 
 def group_requests(

@@ -672,10 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     allocate.add_argument("--budget", type=float, required=True,
                           help="energy budget in joules")
     allocate.add_argument("--alpha", type=float, default=1.0)
-    allocate.add_argument("--backend", default=None,
-                          choices=["numpy", "compiled", "float32"],
-                          help="numeric backend to solve with "
-                               "(default: the server's)")
 
     campaign = commands.add_parser(
         "campaign", help="submit/poll/stream fleet campaigns"
@@ -704,10 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--forecast", default="perfect")
         sub.add_argument("--forecast-noise", type=float, default=0.2)
         sub.add_argument("--forecast-seed", type=int, default=7)
-        sub.add_argument("--backend", default="numpy",
-                         choices=["numpy", "compiled", "float32"],
-                         help="numeric backend for the campaign's solves "
-                              "and scans")
         sub.add_argument("--idempotency-key", default=None,
                          help="retry-safe submission key: resubmitting "
                               "with the same key returns the original "
@@ -760,7 +752,6 @@ def _campaign_request(args: argparse.Namespace) -> CampaignRequest:
         forecast=args.forecast,
         forecast_noise=args.forecast_noise,
         forecast_seed=args.forecast_seed,
-        backend=args.backend,
     )
 
 
@@ -832,11 +823,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 0
         else:
             response = client.allocate(
-                AllocationRequest(
-                    energy_budget_j=args.budget,
-                    alpha=args.alpha,
-                    backend=args.backend,
-                )
+                AllocationRequest(energy_budget_j=args.budget, alpha=args.alpha)
             )
             payload = response.to_json_dict()
     except (ServiceError, OSError, TimeoutError) as error:

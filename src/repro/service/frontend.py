@@ -67,7 +67,6 @@ class FrontendConfig:
     max_batch: int = 1024
     workers: int = 1
     campaign_workers: Optional[int] = None
-    backend: str = "numpy"
     log_format: str = "text"
     slo_ms: Optional[Dict[str, float]] = field(default=None)
 
@@ -93,7 +92,6 @@ def build_service(config: FrontendConfig) -> Any:
         max_batch=config.max_batch,
         workers=config.workers,
         campaign_workers=config.campaign_workers,
-        default_backend=config.backend,
         slo_ms=config.slo_ms,
         store=store,
     )

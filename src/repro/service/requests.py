@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core import kernels
 from repro.core.batch import BatchArrays, BatchGridResult
 from repro.core.design_point import (
     DesignPoint,
@@ -54,10 +53,6 @@ class AllocationRequest:
     design_points: Optional[Tuple[DesignPoint, ...]] = None
     period_s: float = ACTIVITY_PERIOD_S
     off_power_w: float = OFF_STATE_POWER_W
-    #: Numeric backend to solve with (see :mod:`repro.core.kernels`);
-    #: ``None`` means "the server's default backend".  Participates in the
-    #: engine/cache keys, so cached results never cross backends.
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.energy_budget_j < 0:
@@ -71,8 +66,6 @@ class AllocationRequest:
             raise ValueError(
                 f"off-state power must be non-negative, got {self.off_power_w}"
             )
-        if self.backend is not None:
-            kernels.validate_backend(self.backend)
         if self.design_points is not None:
             validate_design_points(self.design_points)
             object.__setattr__(self, "design_points", tuple(self.design_points))
@@ -101,16 +94,11 @@ class AllocationRequest:
                 "request has no design points; resolve() it against the "
                 "service defaults first"
             )
-        key = (
+        return (
             canonical_design_key(self.design_points),
             float(self.period_s),
             float(self.off_power_w),
         )
-        # Mirror BatchAllocator.engine_key(): the default backend keeps the
-        # historical three-element key, accelerated backends append theirs.
-        if self.backend is not None and self.backend != "numpy":
-            key = key + (self.backend,)
-        return key
 
     @property
     def cache_key(self) -> tuple:
@@ -141,8 +129,6 @@ class AllocationRequest:
             "period_s": self.period_s,
             "off_power_w": self.off_power_w,
         }
-        if self.backend is not None:
-            payload["backend"] = self.backend
         if self.design_points is not None:
             payload["design_points"] = [
                 {"name": dp.name, "accuracy": dp.accuracy, "power_w": dp.power_w}
@@ -166,14 +152,12 @@ class AllocationRequest:
                 )
                 for entry in raw_points
             )
-        backend = payload.get("backend")
         return cls(
             energy_budget_j=float(payload["energy_budget_j"]),
             alpha=float(payload.get("alpha", 1.0)),
             design_points=points,
             period_s=float(payload.get("period_s", ACTIVITY_PERIOD_S)),
             off_power_w=float(payload.get("off_power_w", OFF_STATE_POWER_W)),
-            backend=None if backend is None else str(backend),
         )
 
 
@@ -299,6 +283,11 @@ class AllocationResponse:
         )
 
 
+#: Campaign fields that journals written by older servers, and older
+#: clients, still send: accepted and ignored whatever their value.
+_RETIRED_CAMPAIGN_FIELDS = frozenset({"backend"})
+
+
 @dataclass(frozen=True)
 class CampaignRequest:
     """One fleet study to be run by the service's campaign workers.
@@ -328,9 +317,6 @@ class CampaignRequest:
     forecast: str = "perfect"
     forecast_noise: float = 0.2
     forecast_seed: int = 7
-    #: Numeric backend threaded through every policy and the campaign's
-    #: battery/plan scans (see :mod:`repro.core.kernels`).
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         # Imported here (not module level) to keep the allocation-only
@@ -379,7 +365,6 @@ class CampaignRequest:
             raise ValueError(
                 f"forecast noise must be non-negative, got {self.forecast_noise}"
             )
-        kernels.validate_backend(self.backend)
 
     @property
     def num_policies(self) -> int:
@@ -432,9 +417,9 @@ class CampaignRequest:
         labels = [f"exposure={factor:g}" for factor in self.exposure_factors]
         policies: List[object] = []
         for alpha in self.alphas:
-            policies.append(ReapPolicy(points, alpha=alpha, backend=self.backend))
+            policies.append(ReapPolicy(points, alpha=alpha))
             policies.extend(
-                StaticPolicy(points, name, alpha=alpha, backend=self.backend)
+                StaticPolicy(points, name, alpha=alpha)
                 for name in self.baselines
             )
             policies.extend(
@@ -446,13 +431,11 @@ class CampaignRequest:
                     forecast_noise=self.forecast_noise,
                     forecast_seed=self.forecast_seed,
                     alpha=alpha,
-                    backend=self.backend,
                 )
                 for planner in self.planners
             )
         return scenarios, labels, policies, trace, CampaignConfig(
-            use_battery=self.use_battery,
-            backend=self.backend,
+            use_battery=self.use_battery
         )
 
     # --- JSON codec -------------------------------------------------------------
@@ -471,7 +454,6 @@ class CampaignRequest:
             "forecast": self.forecast,
             "forecast_noise": self.forecast_noise,
             "forecast_seed": self.forecast_seed,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -480,9 +462,9 @@ class CampaignRequest:
         known = {
             "alphas", "baselines", "exposure_factors", "month", "seed",
             "hours", "use_battery", "planners", "horizon_periods",
-            "forecast", "forecast_noise", "forecast_seed", "backend",
+            "forecast", "forecast_noise", "forecast_seed",
         }
-        unknown = set(payload) - known
+        unknown = set(payload) - known - _RETIRED_CAMPAIGN_FIELDS
         if unknown:
             raise ValueError(
                 f"unknown campaign request fields: {sorted(unknown)}"
@@ -501,7 +483,6 @@ class CampaignRequest:
             forecast=str(payload.get("forecast", "perfect")),
             forecast_noise=float(payload.get("forecast_noise", 0.2)),
             forecast_seed=int(payload.get("forecast_seed", 7)),
-            backend=str(payload.get("backend", "numpy")),
         )
 
 

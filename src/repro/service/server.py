@@ -10,7 +10,9 @@ Architecture (one process, one event loop)::
 Every connection handler awaits :meth:`AllocationService.allocate`; cache
 misses park on the micro-batcher, so *concurrent* requests -- whether they
 arrive on separate connections or inside one ``POST /allocate/batch``
-payload -- coalesce into a handful of vectorized solves.  The HTTP layer is
+payload -- coalesce into a handful of vectorized solves.  Every solve, and
+every campaign scan, runs the one kernel path of :mod:`repro.core.kernels`
+(jitted when Numba imports); requests do not pick kernels.  The HTTP layer is
 a deliberately small HTTP/1.1 subset (one request per connection,
 ``Content-Length`` bodies) built on :func:`asyncio.start_server`; no
 third-party framework is required, mirroring how long-running energy
@@ -39,7 +41,7 @@ Endpoints (shown unversioned; prefix with ``/v1`` for the stable API)
 ---------------------------------------------------------------------
 ``GET /healthz``
     Liveness probe plus deployment facts: status, package version,
-    uptime, pid, worker/backend/store configuration.
+    uptime, pid, worker/store configuration.
 ``GET /stats``
     Cache, batcher, worker-pool, latency, and SLO counters as JSON.
 ``GET /metrics``
@@ -246,7 +248,6 @@ class AllocationService:
         workers: int = 1,
         campaign_workers: Optional[int] = None,
         max_campaigns: int = 64,
-        default_backend: str = "numpy",
         slo_ms: Optional[Mapping[str, float]] = None,
         store: Optional[Any] = None,
     ) -> None:
@@ -260,7 +261,7 @@ class AllocationService:
         self.store: Optional[CampaignStore] = (
             CampaignStore(store) if isinstance(store, str) else store
         )
-        self.registry = EngineRegistry(default_points, default_backend=default_backend)
+        self.registry = EngineRegistry(default_points)
         self.pool = WorkerPool(
             workers=workers,
             registry=self.registry,
@@ -321,14 +322,13 @@ class AllocationService:
         metrics = self.metrics
         metrics.callback(
             "repro_build_info",
-            "Constant 1, labelled with the package version, default "
-            "engine backend, and Python version.",
+            "Constant 1, labelled with the package version and Python "
+            "version.",
             "gauge",
             lambda: [(
                 "",
                 {
                     "version": __version__,
-                    "backend": self.registry.default_backend,
                     "python": platform.python_version(),
                 },
                 1,
@@ -418,7 +418,7 @@ class AllocationService:
         )
         metrics.callback(
             "repro_engines",
-            "Distinct allocation engines instantiated in the registry.",
+            "Allocation engines the registry holds (a bounded LRU).",
             "gauge",
             lambda: [("", {}, len(self.registry))],
         )
@@ -904,7 +904,6 @@ class AllocationService:
             "pid": os.getpid(),
             "workers": self.pool.workers,
             "campaign_workers": self.pool.campaign_workers,
-            "backend": self.registry.default_backend,
             "store": None if self.store is None else self.store.path,
             "engines": len(self.registry),
         }

@@ -94,12 +94,6 @@ class CampaignConfig:
     battery_max_draw_j: float = 5.0
     #: Device simulation settings.
     device: DeviceConfig = field(default_factory=DeviceConfig)
-    #: Numeric backend for the closed-loop scans: ``"numpy"`` (reference),
-    #: ``"compiled"`` (Numba-jitted with graceful fallback) or ``"float32"``.
-    #: Policies carry their own backend for the allocation stage (see
-    #: :class:`~repro.simulation.policies.Policy`); this knob covers the
-    #: battery/plan scans the campaign itself runs.
-    backend: str = "numpy"
 
 
 def policy_supports_fleet(policy: Policy, use_battery: bool) -> bool:
@@ -577,7 +571,6 @@ class FleetCampaign:
             initial_charge_j=initial,
             target_soc=self.config.battery_target_soc,
             max_draw_j=self.config.battery_max_draw_j,
-            backend=self.config.backend,
         )
 
     def _battery_scan(

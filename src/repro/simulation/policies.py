@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.allocator import AllocatorConfig, ReapAllocator
 from repro.core.analytic import solve_analytic
 from repro.core.batch import BatchAllocator, BatchArrays, ConsumptionCurve
@@ -51,13 +50,7 @@ from repro.planning.horizon import (
 
 
 class Policy(abc.ABC):
-    """Base class for runtime energy-spending policies.
-
-    ``backend`` selects the numeric backend of the policy's lazily built
-    batch engine (``"numpy"``, ``"compiled"`` or ``"float32"``; see
-    :mod:`repro.core.kernels`) -- campaigns thread one backend choice
-    through every policy, battery scan and planner they build.
-    """
+    """Base class for runtime energy-spending policies."""
 
     def __init__(
         self,
@@ -65,14 +58,12 @@ class Policy(abc.ABC):
         alpha: float = 1.0,
         period_s: float = ACTIVITY_PERIOD_S,
         off_power_w: float = OFF_STATE_POWER_W,
-        backend: str = "numpy",
     ) -> None:
         validate_design_points(design_points)
         self.design_points = tuple(design_points)
         self.alpha = validate_alpha(alpha)
         self.period_s = period_s
         self.off_power_w = off_power_w
-        self.backend = kernels.validate_backend(backend)
 
     @property
     @abc.abstractmethod
@@ -174,7 +165,6 @@ class Policy(abc.ABC):
                 self.design_points,
                 period_s=self.period_s,
                 off_power_w=self.off_power_w,
-                backend=self.backend,
             )
             self._batch = engine
         return engine
@@ -200,9 +190,8 @@ class ReapPolicy(Policy):
         period_s: float = ACTIVITY_PERIOD_S,
         off_power_w: float = OFF_STATE_POWER_W,
         allocator: Optional[ReapAllocator] = None,
-        backend: str = "numpy",
     ) -> None:
-        super().__init__(design_points, alpha, period_s, off_power_w, backend=backend)
+        super().__init__(design_points, alpha, period_s, off_power_w)
         self.allocator = allocator or ReapAllocator(AllocatorConfig())
 
     @property
@@ -272,9 +261,8 @@ class StaticPolicy(Policy):
         alpha: float = 1.0,
         period_s: float = ACTIVITY_PERIOD_S,
         off_power_w: float = OFF_STATE_POWER_W,
-        backend: str = "numpy",
     ) -> None:
-        super().__init__(design_points, alpha, period_s, off_power_w, backend=backend)
+        super().__init__(design_points, alpha, period_s, off_power_w)
         names = [dp.name for dp in self.design_points]
         if static_name not in names:
             raise KeyError(f"unknown design point {static_name!r}; have {names}")
@@ -319,9 +307,8 @@ class OnOffDutyCyclePolicy(Policy):
         alpha: float = 1.0,
         period_s: float = ACTIVITY_PERIOD_S,
         off_power_w: float = OFF_STATE_POWER_W,
-        backend: str = "numpy",
     ) -> None:
-        super().__init__(design_points, alpha, period_s, off_power_w, backend=backend)
+        super().__init__(design_points, alpha, period_s, off_power_w)
         if operating_point is None:
             # Default to the highest-accuracy point, as prior work ships the
             # most capable configuration it can build.
@@ -406,11 +393,10 @@ class PlanningPolicy(ReapPolicy):
         alpha: float = 1.0,
         period_s: float = ACTIVITY_PERIOD_S,
         off_power_w: float = OFF_STATE_POWER_W,
-        backend: str = "numpy",
     ) -> None:
         # Planning needs the closed-form consumption curve and the batched
         # raw-array solves, so the default (batchable) allocator is fixed.
-        super().__init__(design_points, alpha, period_s, off_power_w, backend=backend)
+        super().__init__(design_points, alpha, period_s, off_power_w)
         self.planner = validate_planner_kind(planner)
         if horizon_periods < 1:
             raise ValueError(
@@ -458,9 +444,8 @@ class PlanningPolicy(ReapPolicy):
                 max_budget_j=self._batch_engine().max_useful_energy_j,
                 passes=self.mpc_passes,
                 candidates=self.mpc_candidates,
-                backend=self.backend,
             )
-        return HorizonAverageAllocator(self.horizon_periods, backend=self.backend)
+        return HorizonAverageAllocator(self.horizon_periods)
 
     def forecast_provider(self) -> ForecastProvider:
         """Materialise this policy's forecast provider."""
@@ -476,7 +461,6 @@ def default_policy_suite(
     alpha: float = 1.0,
     period_s: float = ACTIVITY_PERIOD_S,
     off_power_w: float = OFF_STATE_POWER_W,
-    backend: str = "numpy",
 ) -> list:
     """REAP plus one static policy per design point (the Figure 5/6 line-up)."""
     policies: list = [
@@ -485,7 +469,6 @@ def default_policy_suite(
             alpha=alpha,
             period_s=period_s,
             off_power_w=off_power_w,
-            backend=backend,
         )
     ]
     for dp in design_points:
@@ -496,7 +479,6 @@ def default_policy_suite(
                 alpha=alpha,
                 period_s=period_s,
                 off_power_w=off_power_w,
-                backend=backend,
             )
         )
     return policies

@@ -8,12 +8,16 @@ the analytic solver's.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocator import FORMULATIONS, AllocatorConfig, ReapAllocator
+from repro.core import batch as batch_module
 from repro.core.analytic import solve_analytic
 from repro.core.batch import BatchAllocator, BatchGridResult
 from repro.core.design_point import DesignPoint
@@ -234,9 +238,20 @@ class TestKinkTieBreak:
     with its zero-time pair blends to within round-off.  The snapped
     tie-break (any candidate within the tolerance of the maximum counts,
     earliest wins) must resolve every such tie to the *pure* single vertex
-    running the full period -- on every backend -- so the chosen vertex
-    cannot flip between runs, budgets epsilon apart, or numeric backends.
+    running the full period -- in the NumPy candidate enumeration (the
+    oracle, id ``numpy``) and in the production hull kernel (id
+    ``compiled``) alike -- so the chosen vertex cannot flip between runs,
+    budgets epsilon apart, or the two solves.
     """
+
+    SOLVES = {
+        "numpy": lambda engine, budgets: engine._solve_arrays_reference(
+            np.asarray(budgets, dtype=float), 1.0
+        ),
+        "compiled": lambda engine, budgets: engine.solve_arrays(
+            budgets, alpha=1.0
+        ),
+    }
 
     @staticmethod
     def _hull_indices(points, alpha):
@@ -256,24 +271,24 @@ class TestKinkTieBreak:
         assert tables is not None
         return [int(i) for i in tables[2] if i >= 0]
 
-    @pytest.mark.parametrize("backend", ["numpy", "compiled", "float32"])
-    def test_exact_kink_budget_pins_the_pure_vertex(self, backend):
+    @pytest.mark.parametrize("solve", ["numpy", "compiled"])
+    def test_exact_kink_budget_pins_the_pure_vertex(self, solve):
         points = tuple(table2_design_points())
-        engine = BatchAllocator(points, backend=backend)
+        engine = BatchAllocator(points)
         for index in self._hull_indices(points, alpha=1.0):
             dp = points[index]
             kink = dp.power_w * ACTIVITY_PERIOD_S        # exact saturation
-            arrays = engine.solve_arrays([kink], alpha=1.0)
+            arrays = self.SOLVES[solve](engine, [kink])
             times = arrays.times_s[0]
             # The winner is the pure single vertex: DP i runs the whole
             # period, every other time is exactly zero.
             assert times[index] == pytest.approx(
                 ACTIVITY_PERIOD_S, rel=0, abs=ACTIVITY_PERIOD_S * 1e-6
-            ), (backend, dp.name)
+            ), (solve, dp.name)
             others = np.delete(times, index)
             np.testing.assert_allclose(
                 others, 0.0, rtol=0, atol=ACTIVITY_PERIOD_S * 1e-6,
-                err_msg=f"{backend}/{dp.name}: kink tie not snapped",
+                err_msg=f"{solve}/{dp.name}: kink tie not snapped",
             )
 
     def test_kink_neighbourhood_is_stable(self):
@@ -313,3 +328,71 @@ class TestKinkTieBreak:
                 if batch.times_s[0, i] > 1e-6
             }
             assert batch_support == ref_support == {dp.name}
+
+
+class TestBoundedCaches:
+    """Per-alpha engine entries live in bounded, thread-safe LRU maps."""
+
+    def test_alpha_churn_stops_at_the_bound(self):
+        points = tuple(table2_design_points())
+        engine = BatchAllocator(points)
+        limit = batch_module._MAX_ALPHA_ENTRIES
+        alphas = np.linspace(0.01, 8.0, 10_000)
+        for alpha in alphas:
+            engine.solve_arrays([5.0], alpha=alpha)
+        # Curve builds cost ~0.5 ms each; 1,000 alphas still churn the
+        # curve maps many times over their bound.
+        for alpha in alphas[::10]:
+            engine.consumption_curve(alpha)
+            engine.static_consumption_curve("DP2", alpha)
+        assert len(engine._solve_tables) == limit
+        assert len(engine._curve_cache) == limit
+        assert len(engine._static_curve_cache) == limit
+        # The first alphas were evicted long ago; their rebuilt answers
+        # still equal the scalar optimum.
+        budgets = np.linspace(0.0, 12.0, 25)
+        for alpha in alphas[:3]:
+            arrays = engine.solve_arrays(budgets, alpha=alpha)
+            for budget, objective in zip(budgets, arrays.objective):
+                reference = solve_analytic(
+                    ReapProblem(points, energy_budget_j=budget, alpha=alpha)
+                )
+                assert objective == pytest.approx(
+                    reference.objective, rel=0, abs=1e-9
+                )
+
+    def test_concurrent_builds_keep_one_entry_per_key(self):
+        cache = batch_module.BoundedLru(16)
+        errors = []
+
+        def hammer(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for key in rng.integers(0, 8, 2000):
+                    value = cache.get(int(key), lambda k=int(key): [k])
+                    seen.setdefault(int(key), value)
+                    if seen[int(key)] is not value or value != [int(key)]:
+                        errors.append(int(key))
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        seen: dict = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(seed,))
+                for seed in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) == 8
+        for key in range(32):
+            cache.get(key, lambda: key)
+        assert len(cache) == 16

@@ -383,6 +383,36 @@ class TestConsumptionCurves:
         assert policy.consumption_curve() is policy.consumption_curve()
 
 
+class TestTiedOptima:
+    """At alpha = 0 every design point scores the same per second, so many
+    vertices are optimal.  The battery scan (through the consumption curve)
+    and the cell columns (through ``solve_arrays``) must still pick the same
+    one, or the columns report energy the battery never drew."""
+
+    def test_closed_loop_consumption_matches_the_curve(self, table2_points):
+        policy = ReapPolicy(table2_points, alpha=0.0)
+        trace = SyntheticSolarModel(seed=2015).generate_month(9)
+        result = FleetCampaign(
+            [HarvestScenario()], CampaignConfig(use_battery=True)
+        ).run([policy], trace)
+        columns = result.result(0, 0).columns
+        np.testing.assert_allclose(
+            columns.energy_consumed_j,
+            policy.consumption_curve()(columns.energy_budget_j),
+            rtol=0,
+            atol=TOLERANCE,
+        )
+
+    def test_single_alpha_grid_is_bit_equal_to_arrays(self, table2_points):
+        engine = BatchAllocator(table2_points)
+        budgets = np.random.default_rng(8).uniform(0.0, 12.0, 300)
+        arrays = engine.solve_arrays(budgets, 0.0)
+        grid = engine.solve_grid(budgets, alphas=(0.0,))
+        np.testing.assert_array_equal(arrays.times_s, grid.times_s[0])
+        np.testing.assert_array_equal(arrays.energy_j, grid.energy_j[0])
+        np.testing.assert_array_equal(arrays.objective, grid.objective[0])
+
+
 class TestSolveArrays:
     def test_solve_arrays_matches_solve_grid(self, table2_points):
         engine = BatchAllocator(table2_points)

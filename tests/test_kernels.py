@@ -1,19 +1,20 @@
-"""Equivalence suite for the accelerated kernels (repro.core.kernels).
+"""Equivalence suite for the production kernels (repro.core.kernels).
 
-The ``compiled`` and ``float32`` backends must agree with the ``numpy``
-float64 reference at their documented tolerances across randomly generated
-problems:
+Every engine runs one kernel path; each kernel must agree with the oracle
+it replaced, across randomly generated problems:
 
-* ``solve_arrays`` via the value hull: objectives/energies to 1e-9
-  (compiled) and 1e-4 (float32, times to ``period * 1e-6``);
-* the ``BatteryScan`` grant/settle recurrence: bit-exact for the scalar
-  fallback, 1e-4 for the wide-fleet float32 path;
-* the MPC window projection: identical masks and budgets within the grid
-  refinement's final cell;
+* ``solve_arrays`` via the value hull against the candidate enumeration
+  (``BatchAllocator._solve_arrays_reference``): objectives and energies to
+  1e-9;
+* the ``BatteryScan`` grant/settle recurrence against the per-period loop
+  (``BatteryScan._run_reference``): bit-exact for the scalar recurrence;
+* the MPC window projection against the unfused projection
+  (``MpcPlanner._sustainable_reference``): identical masks and budgets;
 * the Numba-less container must fall back gracefully (``None`` from the
   kernels, reference results from the engines) rather than raise;
-* sampled-mode campaigns must replay the identical RNG stream under the
-  compiled backend (budget parity implies window-count parity).
+* whole campaigns must match a reference run with every kernel declined,
+  including the sampled-mode RNG stream (budget parity implies
+  window-count parity).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernels
+from repro.core import batch, kernels
 from repro.core.batch import BatchAllocator, StackedConsumptionCurves
 from repro.core.design_point import DesignPoint
 from repro.data.paper_constants import ACTIVITY_PERIOD_S, OFF_STATE_POWER_W
@@ -33,15 +34,13 @@ from repro.harvesting.solar_cell import HarvestScenario
 from repro.planning import MpcPlanner, PlanBattery
 from repro.simulation.device import DeviceConfig
 from repro.simulation.fleet import CampaignConfig
-from repro.simulation.policies import ReapPolicy, default_policy_suite
+from repro.simulation.policies import default_policy_suite
 from repro.simulation.simulator import HarvestingCampaign
 
 OFF_FLOOR_J = OFF_STATE_POWER_W * ACTIVITY_PERIOD_S
 
-#: Documented agreement contracts (see repro.core.kernels).
+#: Documented agreement contract (see repro.core.kernels).
 COMPILED_ATOL = 1e-9
-FLOAT32_ATOL = 1e-4
-FLOAT32_TIME_ATOL = ACTIVITY_PERIOD_S * 1e-6
 
 
 def design_point_lists(min_size=1, max_size=6):
@@ -64,45 +63,49 @@ budget_lists = st.lists(
 alphas = st.floats(min_value=0.0, max_value=8.0)
 
 
-def _engines(points, **kwargs):
-    return {
-        backend: BatchAllocator(points, backend=backend, **kwargs)
-        for backend in kernels.BACKENDS
-    }
+def _both(engine, budgets, alpha):
+    """(reference, production) solves of one budget vector."""
+    budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
+    reference = engine._solve_arrays_reference(budgets, alpha)
+    return reference, engine.solve_arrays(budgets, alpha=alpha)
+
+
+@pytest.fixture
+def reference_run(monkeypatch):
+    """Run a callable with every kernel entry point declining.
+
+    The engines then take their reference paths throughout: the candidate
+    enumeration (and curves probed through it), the per-period battery
+    loop and the unfused MPC projection.  The shared-engine LRU is emptied
+    on both sides, so no hull-built table or curve leaks into the reference
+    run and no reference-built one outlives it.
+    """
+
+    def run(function):
+        batch._SHARED_ENGINES.clear()
+        with monkeypatch.context() as patch:
+            for name in ("build_solve_tables", "battery_scan", "mpc_sustainable"):
+                patch.setattr(kernels, name, lambda *args, **kwargs: None)
+            try:
+                return function()
+            finally:
+                batch._SHARED_ENGINES.clear()
+
+    return run
 
 
 # ---------------------------------------------------------------------------
-# Backend plumbing and the Numba-less fallback
+# Kernel selection and the Numba-less fallback
 # ---------------------------------------------------------------------------
 
 class TestBackendPlumbing:
-    def test_validate_backend_accepts_the_registry(self):
-        for backend in kernels.BACKENDS:
-            assert kernels.validate_backend(backend) == backend
-        with pytest.raises(ValueError, match="backend"):
-            kernels.validate_backend("cuda")
-
-    def test_engines_reject_unknown_backends(self, table2_points):
-        with pytest.raises(ValueError, match="backend"):
-            BatchAllocator(table2_points, backend="fortran")
-        with pytest.raises(ValueError, match="backend"):
-            BatteryScan(2, backend="fortran")
-
     def test_numba_absent_is_not_ready(self):
-        # The container image does not ship Numba; the compiled backend
-        # must still construct and solve (via the fallbacks) without it.
+        # The container image does not ship Numba; every engine must still
+        # construct and solve (via the fallbacks) without it.
         if kernels.HAVE_NUMBA:  # pragma: no cover - optional-deps CI job
             assert kernels.numba_ready() or True
         else:
             assert not kernels.numba_ready()
-
-    def test_backend_suffixes_the_engine_key(self, table2_points):
-        base = BatchAllocator(table2_points).engine_key()
-        assert len(base) == 3  # the historical key is preserved
-        compiled = BatchAllocator(table2_points, backend="compiled").engine_key()
-        assert compiled == base + ("compiled",)
-        f32 = BatchAllocator(table2_points, backend="float32").engine_key()
-        assert f32 == base + ("float32",)
 
     def test_degenerate_sets_have_no_hull(self):
         # A design point cheaper than the off state voids the hull; the
@@ -117,10 +120,7 @@ class TestBackendPlumbing:
             1.0, ACTIVITY_PERIOD_S, OFF_STATE_POWER_W,
         ) is None
         budgets = np.linspace(0.0, 12.0, 50)
-        reference = BatchAllocator(points).solve_arrays(budgets, alpha=1.0)
-        fast = BatchAllocator(points, backend="compiled").solve_arrays(
-            budgets, alpha=1.0
-        )
+        reference, fast = _both(BatchAllocator(points), budgets, 1.0)
         np.testing.assert_array_equal(fast.times_s, reference.times_s)
         np.testing.assert_array_equal(fast.objective, reference.objective)
 
@@ -132,13 +132,12 @@ class TestBackendPlumbing:
 def _assert_internally_consistent(arrays, engine, budgets, atol):
     """The fast result must be a *feasible, self-consistent* allocation:
     its reported figures must follow from its own times, and its energy
-    must respect the budget.  (At exactly tied optima the backends may
-    legitimately report different optimal vertices, so cross-backend
+    must respect the budget.  (At exactly tied optima the hull and the
+    enumeration legitimately report different optimal vertices, so
     equality is asserted on the objective, not on the times.)"""
     times = arrays.times_s
     assert np.all(times >= -atol)
     active = times.sum(axis=1)
-    # Round-off on the period scale: float32 can overshoot T by ~T * eps.
     assert np.all(active <= engine.period_s * (1 + atol))
     powers = np.array([dp.power_w for dp in engine.design_points])
     accuracies = np.array([dp.accuracy for dp in engine.design_points])
@@ -159,61 +158,38 @@ class TestHullSolveEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(points=design_point_lists(), budgets=budget_lists, alpha=alphas)
     def test_compiled_matches_reference(self, points, budgets, alpha):
-        engines = _engines(points)
-        reference = engines["numpy"].solve_arrays(budgets, alpha=alpha)
-        fast = engines["compiled"].solve_arrays(budgets, alpha=alpha)
+        engine = BatchAllocator(points)
+        reference, fast = _both(engine, budgets, alpha)
         np.testing.assert_array_equal(fast.feasible, reference.feasible)
         np.testing.assert_allclose(
             fast.objective, reference.objective, rtol=0, atol=COMPILED_ATOL
         )
-        _assert_internally_consistent(
-            fast, engines["compiled"], budgets, COMPILED_ATOL
-        )
-
-    @settings(max_examples=60, deadline=None)
-    @given(points=design_point_lists(), budgets=budget_lists, alpha=alphas)
-    def test_float32_matches_reference(self, points, budgets, alpha):
-        engines = _engines(points)
-        reference = engines["numpy"].solve_arrays(budgets, alpha=alpha)
-        fast = engines["float32"].solve_arrays(budgets, alpha=alpha)
-        np.testing.assert_array_equal(fast.feasible, reference.feasible)
-        np.testing.assert_allclose(
-            fast.objective, reference.objective,
-            rtol=FLOAT32_ATOL, atol=FLOAT32_ATOL,
-        )
-        _assert_internally_consistent(
-            fast, engines["float32"], budgets, FLOAT32_ATOL
-        )
-        assert fast.times_s.dtype == np.float64  # results stay float64 out
+        _assert_internally_consistent(fast, engine, budgets, COMPILED_ATOL)
 
     def test_full_arrays_agree_on_table2(self, table2_points):
         # The paper's design points are strictly separated in accuracy and
         # power, so the optimal vertex is unique everywhere except the
         # measure-zero kink set: every output array must agree, not just
         # the objective.
-        engines = _engines(table2_points)
+        engine = BatchAllocator(table2_points)
         budgets = np.linspace(0.0, 30.0, 400)
+        atol, time_atol = COMPILED_ATOL, COMPILED_ATOL * ACTIVITY_PERIOD_S
         for alpha in (0.5, 1.0, 2.0, 4.0):
-            reference = engines["numpy"].solve_arrays(budgets, alpha=alpha)
-            for backend, atol, time_atol in (
-                ("compiled", COMPILED_ATOL, COMPILED_ATOL * ACTIVITY_PERIOD_S),
-                ("float32", FLOAT32_ATOL, FLOAT32_TIME_ATOL),
-            ):
-                fast = engines[backend].solve_arrays(budgets, alpha=alpha)
-                np.testing.assert_array_equal(fast.feasible, reference.feasible)
-                np.testing.assert_allclose(
-                    fast.objective, reference.objective, rtol=atol, atol=atol
-                )
-                np.testing.assert_allclose(
-                    fast.energy_j, reference.energy_j, rtol=atol, atol=atol
-                )
-                np.testing.assert_allclose(
-                    fast.expected_accuracy, reference.expected_accuracy,
-                    rtol=atol, atol=atol,
-                )
-                np.testing.assert_allclose(
-                    fast.times_s, reference.times_s, rtol=0, atol=time_atol
-                )
+            reference, fast = _both(engine, budgets, alpha)
+            np.testing.assert_array_equal(fast.feasible, reference.feasible)
+            np.testing.assert_allclose(
+                fast.objective, reference.objective, rtol=atol, atol=atol
+            )
+            np.testing.assert_allclose(
+                fast.energy_j, reference.energy_j, rtol=atol, atol=atol
+            )
+            np.testing.assert_allclose(
+                fast.expected_accuracy, reference.expected_accuracy,
+                rtol=atol, atol=atol,
+            )
+            np.testing.assert_allclose(
+                fast.times_s, reference.times_s, rtol=0, atol=time_atol
+            )
 
     def test_tied_optima_may_pick_the_cheaper_vertex(self):
         # Two equal-value vertices (equal accuracy) are both optimal; the
@@ -225,10 +201,7 @@ class TestHullSolveEquivalence:
             DesignPoint(name="COOL", accuracy=0.9, power_w=3.0e-3),
         )
         budgets = np.linspace(0.0, 20.0, 100)
-        reference = BatchAllocator(points).solve_arrays(budgets, alpha=1.0)
-        fast = BatchAllocator(points, backend="compiled").solve_arrays(
-            budgets, alpha=1.0
-        )
+        reference, fast = _both(BatchAllocator(points), budgets, 1.0)
         np.testing.assert_allclose(
             fast.objective, reference.objective, rtol=0, atol=COMPILED_ATOL
         )
@@ -238,24 +211,20 @@ class TestHullSolveEquivalence:
     @given(points=design_point_lists(min_size=2), alpha=alphas)
     def test_infeasible_rows_report_the_off_floor(self, points, alpha):
         budgets = np.array([0.0, OFF_FLOOR_J / 2, OFF_FLOOR_J])
-        for backend, engine in _engines(points).items():
-            arrays = engine.solve_arrays(budgets, alpha=alpha)
+        for arrays in _both(BatchAllocator(points), budgets, alpha):
             assert not arrays.feasible[0]
             assert not arrays.feasible[1]
             assert arrays.feasible[2]
             np.testing.assert_allclose(
-                arrays.energy_j[:2], OFF_FLOOR_J, rtol=0,
-                atol=FLOAT32_ATOL if backend == "float32" else COMPILED_ATOL,
+                arrays.energy_j[:2], OFF_FLOOR_J, rtol=0, atol=COMPILED_ATOL
             )
             np.testing.assert_array_equal(arrays.times_s[:2], 0.0)
 
     def test_hull_vertices_are_bit_equal(self, table2_points):
         # At the hull's own vertices (the pure-DP budgets) the blend
-        # degenerates to one point: compiled and reference coincide exactly.
-        engines = _engines(table2_points)
+        # degenerates to one point: hull and enumeration coincide exactly.
         vertex_budgets = [dp.power_w * ACTIVITY_PERIOD_S for dp in table2_points]
-        reference = engines["numpy"].solve_arrays(vertex_budgets, alpha=1.0)
-        fast = engines["compiled"].solve_arrays(vertex_budgets, alpha=1.0)
+        reference, fast = _both(BatchAllocator(table2_points), vertex_budgets, 1.0)
         np.testing.assert_allclose(
             fast.objective, reference.objective, rtol=0, atol=1e-12
         )
@@ -276,37 +245,19 @@ def _random_harvest(rng, num_periods, num_devices):
 
 
 class TestBatteryScanEquivalence:
-    @pytest.mark.parametrize("backend", ["compiled", "float32"])
-    def test_narrow_fleet_scalar_path_is_bit_exact(self, table2_points, backend):
-        # D <= 24 runs the scalar recurrence on both fast backends: the
-        # arithmetic is the same Python-float sequence as the reference's
-        # vector ops, so the trajectories match bit for bit.
+    def test_narrow_fleet_scalar_path_is_bit_exact(self, table2_points):
+        # D <= 24 runs the scalar recurrence: the arithmetic is the same
+        # Python-float sequence as the reference's vector ops, so the
+        # trajectories match bit for bit.
         rng = np.random.default_rng(42)
         curves = _stacked_curves(table2_points, 8)
         harvest = _random_harvest(rng, 72, 8)
-        reference = BatteryScan(8, capacity_j=60.0).run(harvest, curves)
-        fast = BatteryScan(8, capacity_j=60.0, backend=backend).run(
-            harvest, curves
-        )
+        scan = BatteryScan(8, capacity_j=60.0)
+        reference = scan._run_reference(harvest, curves)
+        fast = scan.run(harvest, curves)
         np.testing.assert_array_equal(fast.budgets_j, reference.budgets_j)
         np.testing.assert_array_equal(fast.consumed_j, reference.consumed_j)
         np.testing.assert_array_equal(fast.charge_j, reference.charge_j)
-
-    def test_wide_fleet_float32_is_close(self, table2_points):
-        rng = np.random.default_rng(7)
-        num_devices = 64
-        curves = _stacked_curves(table2_points, num_devices)
-        harvest = _random_harvest(rng, 48, num_devices)
-        reference = BatteryScan(num_devices).run(harvest, curves)
-        fast = BatteryScan(num_devices, backend="float32").run(harvest, curves)
-        np.testing.assert_allclose(
-            fast.budgets_j, reference.budgets_j,
-            rtol=FLOAT32_ATOL, atol=FLOAT32_ATOL,
-        )
-        np.testing.assert_allclose(
-            fast.charge_j, reference.charge_j,
-            rtol=FLOAT32_ATOL, atol=1e-2,  # the recurrence accumulates
-        )
 
     @pytest.mark.skipif(kernels.numba_ready(), reason="needs the numba-less fallback")
     def test_wide_compiled_fleet_without_numba_falls_back(self, table2_points):
@@ -317,15 +268,15 @@ class TestBatteryScanEquivalence:
         curves = _stacked_curves(table2_points, num_devices)
         tables = curves.fused_tables()
         assert tables is not None
-        scan = BatteryScan(num_devices, backend="compiled")
+        scan = BatteryScan(num_devices)
         harvest = _random_harvest(np.random.default_rng(3), 24, num_devices)
         assert kernels.battery_scan(
             harvest, scan.initial_charge_j, scan.capacity_j,
             scan.target_soc * scan.capacity_j, scan.max_draw_j,
             scan.min_budget_j, scan.charge_efficiency,
-            scan.discharge_efficiency, tables, "compiled",
+            scan.discharge_efficiency, tables,
         ) is None
-        reference = BatteryScan(num_devices).run(harvest, curves)
+        reference = scan._run_reference(harvest, curves)
         fast = scan.run(harvest, curves)
         np.testing.assert_array_equal(fast.budgets_j, reference.budgets_j)
 
@@ -339,8 +290,9 @@ class TestBatteryScanEquivalence:
         if mixed.fused_tables() is not None:
             pytest.skip("curves happen to share one grid")
         harvest = _random_harvest(np.random.default_rng(5), 24, 2)
-        reference = BatteryScan(2).run(harvest, mixed)
-        fast = BatteryScan(2, backend="compiled").run(harvest, mixed)
+        scan = BatteryScan(2)
+        reference = scan._run_reference(harvest, mixed)
+        fast = scan.run(harvest, mixed)
         np.testing.assert_array_equal(fast.budgets_j, reference.budgets_j)
 
 
@@ -365,122 +317,86 @@ class TestMpcEquivalence:
         assert kernels.mpc_sustainable(
             budgets, np.full((4, 2), 3.0), charge,
             battery.charge_efficiency, battery.discharge_efficiency,
-            1e-9, tables, "compiled",
+            1e-9, tables,
         ) is None
 
-    @pytest.mark.parametrize("backend", ["compiled", "float32"])
-    def test_wide_mask_matches_reference(self, table2_points, backend):
+    def test_wide_mask_matches_reference(self, table2_points):
         rng = np.random.default_rng(11)
         num_devices = 300  # 16 candidates x 300 devices clears the gate
         curves = _stacked_curves(table2_points, num_devices)
         battery, charge = _plan_battery(num_devices, charge=15.0)
-        planner_ref = MpcPlanner(6, max_budget_j=30.0)
-        planner_fast = MpcPlanner(6, max_budget_j=30.0, backend=backend)
+        planner = MpcPlanner(6, max_budget_j=30.0)
         window = rng.uniform(0.0, 10.0, size=(6, num_devices))
         budgets = np.linspace(OFF_FLOOR_J, 30.0, 16)[:, None] * np.ones(
             (1, num_devices)
         )
         assert budgets.size >= kernels._MPC_FUSED_MIN_ELEMENTS
-        mask_ref = planner_ref.sustainable(budgets, window, charge, battery, curves)
-        mask_fast = planner_fast.sustainable(budgets, window, charge, battery, curves)
-        if backend == "compiled":
-            np.testing.assert_array_equal(mask_fast, mask_ref)
-        else:
-            # float32 round-off may flip razor-edge rows; the disagreement
-            # set must be tiny and confined to near-boundary candidates.
-            assert np.mean(mask_fast != mask_ref) < 0.01
+        mask_ref = planner._sustainable_reference(
+            budgets, window, charge, battery, curves
+        )
+        mask_fast = planner.sustainable(budgets, window, charge, battery, curves)
+        np.testing.assert_array_equal(mask_fast, mask_ref)
 
-    @pytest.mark.parametrize("backend", ["compiled", "float32"])
     def test_step_budgets_agree_within_a_refinement_cell(
-        self, table2_points, backend
+        self, table2_points, reference_run
     ):
         rng = np.random.default_rng(13)
         num_devices = 300
         curves = _stacked_curves(table2_points, num_devices)
         battery, charge = _plan_battery(num_devices, charge=25.0)
-        ceiling = 30.0
-        passes, candidates = 3, 16
-        planner_ref = MpcPlanner(
-            5, max_budget_j=ceiling, passes=passes, candidates=candidates
-        )
-        planner_fast = MpcPlanner(
-            5, max_budget_j=ceiling, passes=passes, candidates=candidates,
-            backend=backend,
-        )
+        planner = MpcPlanner(5, max_budget_j=30.0, passes=3, candidates=16)
         window = rng.uniform(0.0, 8.0, size=(5, num_devices))
-        reference = planner_ref.step_budgets(window, charge, battery, curves)
-        fast = planner_fast.step_budgets(window, charge, battery, curves)
-        # The grid refinement's final bracket width bounds any disagreement:
-        # five cells of slack absorbs float32 boundary flips.
-        cell = (ceiling - OFF_FLOOR_J) / float((candidates - 1) ** passes)
-        tol = COMPILED_ATOL if backend == "compiled" else 5.0 * cell
-        np.testing.assert_allclose(fast, reference, rtol=0, atol=max(tol, 1e-9))
+        reference = reference_run(
+            lambda: planner.step_budgets(window, charge, battery, curves)
+        )
+        fast = planner.step_budgets(window, charge, battery, curves)
+        np.testing.assert_allclose(fast, reference, rtol=0, atol=COMPILED_ATOL)
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: campaigns under a non-default backend
+# End-to-end: campaigns against a reference run
 # ---------------------------------------------------------------------------
 
-def _campaign_config(backend, recognition_mode="expected", seed=9):
+def _campaign_config(recognition_mode="expected", seed=9):
     return CampaignConfig(
         use_battery=True,
         battery_capacity_j=80.0,
-        backend=backend,
         device=DeviceConfig(recognition_mode=recognition_mode, seed=seed),
     )
 
 
 class TestCampaignBackendEquivalence:
     @pytest.mark.parametrize("recognition_mode", ["expected", "sampled"])
-    def test_compiled_campaign_matches_numpy(self, table2_points, recognition_mode):
-        # Bit-equal budgets mean the sampled-mode Bernoulli draws consume
-        # the identical RNG stream: window counts must match exactly.
+    def test_compiled_campaign_matches_numpy(
+        self, table2_points, recognition_mode, reference_run
+    ):
+        # Equal budgets mean the sampled-mode Bernoulli draws consume the
+        # identical RNG stream: window counts must match exactly.
         trace = SyntheticSolarModel(seed=21).generate_days(60, 3)
-        scenario = HarvestScenario()
-        results = {}
-        for backend in ("numpy", "compiled"):
+
+        def run():
             campaign = HarvestingCampaign(
-                scenario,
-                _campaign_config(backend, recognition_mode),
+                HarvestScenario(), _campaign_config(recognition_mode),
                 engine="fleet",
             )
-            results[backend] = campaign.run_many(
-                default_policy_suite(table2_points, alpha=2.0, backend=backend),
-                trace,
+            return campaign.run_many(
+                default_policy_suite(table2_points, alpha=2.0), trace
             )
-        assert list(results["numpy"]) == list(results["compiled"])
-        for name in results["numpy"]:
-            ref, fast = results["numpy"][name], results["compiled"][name]
-            assert ref.columns is not None and fast.columns is not None
+
+        reference = reference_run(run)
+        fast = run()
+        assert list(reference) == list(fast)
+        for name in reference:
+            ref, new = reference[name], fast[name]
+            assert ref.columns is not None and new.columns is not None
             np.testing.assert_allclose(
-                fast.columns.energy_budget_j, ref.columns.energy_budget_j,
+                new.columns.energy_budget_j, ref.columns.energy_budget_j,
                 rtol=0, atol=COMPILED_ATOL,
             )
             np.testing.assert_allclose(
-                fast.columns.objective_value, ref.columns.objective_value,
+                new.columns.objective_value, ref.columns.objective_value,
                 rtol=0, atol=COMPILED_ATOL,
             )
             np.testing.assert_array_equal(
-                fast.columns.windows_correct, ref.columns.windows_correct
+                new.columns.windows_correct, ref.columns.windows_correct
             )
-
-    def test_float32_campaign_tracks_numpy(self, table2_points):
-        trace = SyntheticSolarModel(seed=23).generate_days(100, 2)
-        scenario = HarvestScenario()
-        results = {}
-        for backend in ("numpy", "float32"):
-            campaign = HarvestingCampaign(
-                scenario, _campaign_config(backend), engine="fleet"
-            )
-            results[backend] = campaign.run(
-                ReapPolicy(table2_points, alpha=2.0, backend=backend), trace
-            )
-        ref, fast = results["numpy"], results["float32"]
-        np.testing.assert_allclose(
-            fast.columns.energy_budget_j, ref.columns.energy_budget_j,
-            rtol=FLOAT32_ATOL, atol=FLOAT32_ATOL,
-        )
-        np.testing.assert_allclose(
-            fast.columns.objective_value, ref.columns.objective_value,
-            rtol=FLOAT32_ATOL, atol=FLOAT32_ATOL,
-        )

@@ -243,3 +243,88 @@ class TestStoreBackedRestart:
                 cell.objective_values(),
                 reference.result(pi, si).objective_values(),
             )
+
+
+# --- journals and clients from before the kernel option was retired ----------
+class TestRetiredKernelField:
+    """Journals written before the ``backend`` field was retired carry it in
+    every submit record, and older clients still send it: both must keep
+    working, with the field ignored whatever its value."""
+
+    def test_old_journal_replays_and_serves(self, tmp_path):
+        import numpy as np
+
+        from repro.service.store import CampaignStore
+        from repro.simulation.fleet import FleetCampaign
+
+        scenarios, labels, policies, trace, config = SMALL.build()
+        local = FleetCampaign(scenarios, config, scenario_labels=labels).run(
+            policies, trace
+        )
+        store_path = str(tmp_path / "jobs.db")
+        with CampaignStore(store_path) as store:
+            legacy = {**SMALL.to_json_dict(), "backend": "float32"}
+            store._append("c1", "submit", CampaignStore._json_payload(
+                {"request": legacy, "idempotency_key": None}
+            ))
+            store.start("c1", trace_hours=local.trace_hours)
+            store.shard_done("c1", [(si, pi, cell) for si, pi, cell in local])
+            store.finish("c1", local)
+        with CampaignStore(store_path) as store:
+            record = store.job("c1")
+            assert record.status == "done"
+            assert record.request == SMALL
+        service = AllocationService(
+            window_s=0.001, campaign_workers=1, store=store_path
+        )
+        with start_in_thread(service) as handle:
+            client = AllocationClient(port=handle.port, timeout_s=120.0)
+            assert client.campaign_status("c1").status == "done"
+            served = client.campaign_result("c1", binary=True)
+        service.close()
+        for si, pi, cell in served:
+            np.testing.assert_array_equal(
+                cell.objective_values(), local.result(pi, si).objective_values()
+            )
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        service = AllocationService(window_s=0.001, campaign_workers=1)
+        handle = start_in_thread(service)
+        yield handle
+        handle.stop()
+        service.close()
+
+    def test_campaign_field_is_accepted_and_ignored(self, server):
+        import numpy as np
+
+        client = AllocationClient(port=server.port, timeout_s=120.0)
+        results = []
+        for body in (
+            {**SMALL.to_json_dict(), "backend": "compiled"},
+            SMALL.to_json_dict(),
+        ):
+            status, _, payload = _raw(server, "POST", "/v1/campaign", body=body)
+            assert status == 200
+            client.wait_for_campaign(payload["campaign_id"], timeout_s=120)
+            results.append(client.campaign_result(payload["campaign_id"]))
+        old, new = results
+        for si, pi, cell in old:
+            np.testing.assert_array_equal(
+                cell.objective_values(), new.result(pi, si).objective_values()
+            )
+            np.testing.assert_array_equal(
+                cell.battery_charge_j, new.result(pi, si).battery_charge_j
+            )
+
+    def test_allocate_field_is_ignored(self, server):
+        body = {"energy_budget_j": 5.0, "alpha": 1.0}
+        status, _, plain = _raw(server, "POST", "/v1/allocate", body=body)
+        assert status == 200
+        status, _, old = _raw(
+            server, "POST", "/v1/allocate", body={**body, "backend": "numpy"}
+        )
+        assert status == 200
+        assert old["cache_hit"]  # the same request, so the same cache key
+        for field in ("times_s", "objective", "energy_j", "budget_feasible"):
+            assert old[field] == plain[field]
