@@ -145,8 +145,8 @@ def test_journaling_overhead_within_bound(
     # The journal is not write-only: it must reload into the same grid.
     reloaded = last_store.load_result(last_job)
     _assert_cells_close(reloaded, single)
-    appends = dict(last_store.stats.appends)
-    append_bytes = last_store.stats.append_bytes
+    shard_records = int(last_store.appends.value(kind="shard_done"))
+    append_bytes = last_store.append_bytes.value()
     last_store.close()
 
     plain_s = min(plain_runs)
@@ -155,7 +155,7 @@ def test_journaling_overhead_within_bound(
     result = ExperimentResult(
         name=(
             f"Store journaling overhead: {len(scenarios) * len(policies)} "
-            f"cells over {len(trace)} hours, {appends.get('shard_done', 0)} "
+            f"cells over {len(trace)} hours, {shard_records} "
             f"shard records, {append_bytes / 1024:.0f} KiB journaled"
         ),
         headers=["path", "wall_s", "speedup_vs_plain"],

@@ -8,13 +8,6 @@
   converts irradiance into the hourly energy budgets REAP consumes.
 """
 
-from repro.harvesting.forecast import (
-    ClearSkyScaledForecaster,
-    EwmaForecaster,
-    HarvestForecaster,
-    PersistenceForecaster,
-    forecast_error,
-)
 from repro.harvesting.solar import (
     CloudModel,
     GOLDEN_COLORADO_LATITUDE_DEG,
@@ -31,19 +24,14 @@ from repro.harvesting.solar_cell import (
 from repro.harvesting.traces import SolarTrace, TraceHour, load_nrel_csv
 
 __all__ = [
-    "ClearSkyScaledForecaster",
     "CloudModel",
-    "EwmaForecaster",
     "GOLDEN_COLORADO_LATITUDE_DEG",
-    "HarvestForecaster",
     "HarvestScenario",
-    "PersistenceForecaster",
     "SolarCellModel",
     "SolarTrace",
     "SyntheticSolarModel",
     "TraceHour",
     "clear_sky_ghi",
-    "forecast_error",
     "load_nrel_csv",
     "solar_declination_rad",
     "solar_elevation_rad",

@@ -3,8 +3,10 @@
 ``repro.obs`` is the service stack's shared instrumentation surface:
 
 * :mod:`repro.obs.metrics` -- thread-safe counter/gauge/histogram
-  families with Prometheus text exposition (``GET /metrics``), including
-  the log2 latency histograms that back ``/stats`` percentiles.
+  families with Prometheus text exposition (``GET /metrics``): the one
+  stats source, read by ``/metrics``, ``/stats`` and the cluster snapshot
+  alike, including the log2 latency histograms behind ``/stats``
+  percentiles.
 * :mod:`repro.obs.tracing` -- W3C-traceparent-compatible span contexts
   that follow a request from the HTTP handler through batcher groups,
   pool slices, and sharded campaign process workers; structured span
@@ -15,27 +17,24 @@
 * :mod:`repro.obs.slo` -- per-endpoint latency objectives with good/total
   counters and 5m/1h burn-rate windows (``repro serve --slo-ms ...``).
 * :mod:`repro.obs.cluster` -- cross-process snapshot publication and the
-  exact merges behind ``GET /v1/metrics?scope=cluster`` and
-  ``/v1/stats?scope=cluster`` on a ``--procs N`` front-end.
+  ``proc``-labelled exposition and per-process documents behind
+  ``GET /v1/metrics?scope=cluster`` and ``/v1/stats?scope=cluster`` on a
+  ``--procs N`` front-end.
 """
 
 from .cluster import (
     DEFAULT_SNAPSHOT_TTL_S,
     build_snapshot,
     cluster_stats,
-    merged_families,
     proc_identity,
     render_cluster,
 )
 from .metrics import (
     Counter,
-    EndpointLatencies,
     Gauge,
     Histogram,
     LOG2_BOUNDS_S,
-    LatencyHistogram,
     MetricsRegistry,
-    latency_histogram_samples,
 )
 from .profiling import PhaseProfiler
 from .slo import DEFAULT_SLO_MS, SloTracker, merged_burn_rates, parse_slo_spec
@@ -59,12 +58,10 @@ __all__ = [
     "Counter",
     "DEFAULT_SLO_MS",
     "DEFAULT_SNAPSHOT_TTL_S",
-    "EndpointLatencies",
     "Gauge",
     "Histogram",
     "JsonLogFormatter",
     "LOG2_BOUNDS_S",
-    "LatencyHistogram",
     "MetricsRegistry",
     "PhaseProfiler",
     "SloTracker",
@@ -77,9 +74,7 @@ __all__ = [
     "current_context",
     "format_traceparent",
     "ingest",
-    "latency_histogram_samples",
     "merged_burn_rates",
-    "merged_families",
     "new_trace_id",
     "parse_slo_spec",
     "parse_traceparent",

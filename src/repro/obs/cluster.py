@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import socket
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from . import slo as slo_module
 from .metrics import MetricsRegistry, format_labels, format_value
@@ -93,47 +93,6 @@ def encode_snapshot(payload: Mapping[str, Any]) -> bytes:
 def decode_snapshot(raw: bytes) -> Dict[str, Any]:
     """Inverse of :func:`encode_snapshot`."""
     return json.loads(raw.decode("utf-8"))
-
-
-def _sample_key(
-    suffix: str, labels: Mapping[str, str]
-) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
-    return suffix, tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-def merged_families(
-    payloads: Iterable[Mapping[str, Any]],
-) -> Dict[str, Dict[str, Any]]:
-    """Sum counter and histogram families across snapshots, exactly.
-
-    Samples with identical (suffix, labels) sum elementwise -- for the
-    shared log2-bucket histograms this is an exact merge, for counters a
-    plain sum -- so the operation is associative and commutative.
-    Gauges (and untyped callbacks) do not have a meaningful cross-process
-    sum and are omitted; the cluster exposition keeps them per-process
-    under the ``proc`` label instead.
-    """
-    out: Dict[str, Dict[str, Any]] = {}
-    for payload in payloads:
-        for name, family in payload.get("families", {}).items():
-            if family.get("kind") not in ("counter", "histogram"):
-                continue
-            entry = out.setdefault(name, {
-                "kind": family["kind"],
-                "help": family.get("help", ""),
-                "_samples": {},
-            })
-            for suffix, labels, value in family.get("samples", ()):
-                key = _sample_key(suffix, labels)
-                entry["_samples"][key] = (
-                    entry["_samples"].get(key, 0.0) + float(value)
-                )
-    for entry in out.values():
-        entry["samples"] = [
-            [suffix, dict(labels), value]
-            for (suffix, labels), value in sorted(entry.pop("_samples").items())
-        ]
-    return out
 
 
 def _synthesized_lines(snapshots: List[Mapping[str, Any]]) -> List[str]:
@@ -249,7 +208,6 @@ __all__ = [
     "cluster_stats",
     "decode_snapshot",
     "encode_snapshot",
-    "merged_families",
     "proc_identity",
     "render_cluster",
 ]

@@ -1,34 +1,36 @@
 """Thread-safe metrics registry with Prometheus text exposition.
 
-The service historically kept its counters in ad-hoc classes surfaced
-only through the ``/stats`` JSON bag.  This module generalises that layer
-into a small, dependency-free metrics registry:
+This is the one place the service counts anything:
 
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` families with
   optional label dimensions, each family guarded by one lock so worker
-  threads and the event loop can record concurrently.
-* Histograms share the service's log2 bucket scheme
-  (:data:`LOG2_BOUNDS_S`: 1 microsecond doubling up through ~67 seconds,
-  plus an overflow bucket) so recording stays O(1) with a fixed ~30-int
-  footprint per label set regardless of traffic.
+  threads and the event loop can record concurrently.  A component (the
+  cache, batcher, worker pool, store, SLO tracker) creates the families it
+  records into and registers them on the service's registry
+  (:meth:`MetricsRegistry.register`); ``/metrics``, ``/stats`` and the
+  cluster snapshot all read those same families, so they cannot disagree.
+* Histograms default to the log2 bucket scheme (:data:`LOG2_BOUNDS_S`:
+  1 microsecond doubling up through ~67 seconds, plus an overflow bucket)
+  so recording stays O(1) with a fixed ~30-int footprint per label set
+  regardless of traffic, and their read side gives the quantiles and the
+  ``{count, mean_ms, max_ms, p50/p95/p99_ms}`` summary ``/stats`` reports.
 * :meth:`MetricsRegistry.render` emits the Prometheus text exposition
   format (``# HELP`` / ``# TYPE`` headers, ``_bucket{le=...}`` /
   ``_sum`` / ``_count`` histogram series) for ``GET /metrics``.
-* :meth:`MetricsRegistry.callback` registers sample *functions* so
-  pre-existing counter objects (cache stats, batcher stats, pool
-  counters) can be scraped at exposition time without being rewritten.
-
-PR 7's :class:`LatencyHistogram` and :class:`EndpointLatencies` live here
-now (``repro.service.cache`` re-exports them for compatibility); the
-per-endpoint histograms plug into the registry through
-:func:`latency_histogram_samples`.
+* :meth:`MetricsRegistry.callback` registers sample *functions* for
+  values that are read rather than counted (uptime, cache entries,
+  campaigns by status, burn rates) or derived from another family's
+  count or sum.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, TypeVar,
+)
 
 #: Upper bounds of the log2 histogram buckets, in seconds (1 us .. ~67 s).
 LOG2_BOUNDS_S = tuple(1e-6 * 2.0**exponent for exponent in range(27))
@@ -37,6 +39,8 @@ LOG2_BOUNDS_S = tuple(1e-6 * 2.0**exponent for exponent in range(27))
 #: is ``""`` for plain series and ``"_bucket"`` / ``"_sum"`` / ``"_count"``
 #: for histogram series.
 Sample = Tuple[str, Mapping[str, str], float]
+
+FamilyT = TypeVar("FamilyT", bound="_Family")
 
 
 def format_value(value: float) -> str:
@@ -70,11 +74,14 @@ def format_labels(labels: Mapping[str, Any]) -> str:
 def _label_key(
     labelnames: Sequence[str], labels: Mapping[str, Any]
 ) -> Tuple[str, ...]:
-    if set(labels) != set(labelnames):
-        raise ValueError(
-            f"expected labels {tuple(labelnames)}, got {tuple(sorted(labels))}"
-        )
-    return tuple(str(labels[name]) for name in labelnames)
+    if len(labels) == len(labelnames):
+        try:
+            return tuple([str(labels[name]) for name in labelnames])
+        except KeyError:
+            pass
+    raise ValueError(
+        f"expected labels {tuple(labelnames)}, got {tuple(sorted(labels))}"
+    )
 
 
 class _Family:
@@ -87,71 +94,81 @@ class _Family:
         self.help_text = help_text
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
+        #: Label-value tuple -> the recorded state of that label set.
+        self._values: Dict[Tuple[str, ...], Any] = {}
+
+    def label_values(self) -> List[Tuple[str, ...]]:
+        """Label-value tuples of every series recorded so far, sorted."""
+        with self._lock:
+            return sorted(self._values)
+
+    def bind(self, **labels: Any) -> Callable[..., None]:
+        """This family's record call for one label set, key resolved once.
+
+        For hot paths: ``counter.bind(result="hit")()`` is
+        ``counter.inc(result="hit")`` without the per-call label check;
+        a bound histogram takes ``(value, times=1)``.
+        """
+        return partial(self._record, _label_key(self.labelnames, labels))
+
+    def _record(self, key: Tuple[str, ...], *args: Any) -> None:  # pragma: no cover
+        raise NotImplementedError
 
     def samples(self) -> List[Sample]:  # pragma: no cover - overridden
         raise NotImplementedError
 
 
-class Counter(_Family):
+class _ScalarFamily(_Family):
+    """One float per label set; an unlabelled family starts at 0."""
+
+    def __init__(self, name: str, help_text: str, labelnames: Sequence[str] = ()) -> None:
+        super().__init__(name, help_text, labelnames)
+        if not self.labelnames:
+            self._values[()] = 0.0
+
+    def value(self, **labels: Any) -> float:
+        """Current value of one label set (0.0 before any record)."""
+        key = _label_key(self.labelnames, labels)
+        with self._lock:
+            return self._values.get(key, 0.0)
+
+    def samples(self) -> List[Sample]:
+        with self._lock:
+            items = sorted(self._values.items())
+        return [
+            ("", dict(zip(self.labelnames, key)), value)
+            for key, value in items
+        ]
+
+
+class Counter(_ScalarFamily):
     """Monotonically increasing counter family."""
 
     kind = "counter"
 
-    def __init__(self, name: str, help_text: str, labelnames: Sequence[str] = ()) -> None:
-        super().__init__(name, help_text, labelnames)
-        self._values: Dict[Tuple[str, ...], float] = {}
-
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         """Add ``amount`` (must be non-negative) to one label set's count."""
+        self._record(_label_key(self.labelnames, labels), amount)
+
+    def _record(self, key: Tuple[str, ...], amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up, got increment {amount}")
-        key = _label_key(self.labelnames, labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: Any) -> float:
-        """Current count of one label set (0.0 before any increment)."""
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
 
-    def samples(self) -> List[Sample]:
-        with self._lock:
-            items = sorted(self._values.items())
-        return [
-            ("", dict(zip(self.labelnames, key)), value)
-            for key, value in items
-        ]
-
-
-class Gauge(_Family):
+class Gauge(_ScalarFamily):
     """Set-to-current-value gauge family."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help_text: str, labelnames: Sequence[str] = ()) -> None:
-        super().__init__(name, help_text, labelnames)
-        self._values: Dict[Tuple[str, ...], float] = {}
-
     def set(self, value: float, **labels: Any) -> None:
         """Set one label set's value."""
-        key = _label_key(self.labelnames, labels)
+        self._record(_label_key(self.labelnames, labels), value)
+
+    def _record(self, key: Tuple[str, ...], value: float) -> None:
         with self._lock:
             self._values[key] = float(value)
-
-    def value(self, **labels: Any) -> float:
-        """Current value of one label set (0.0 before any set)."""
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def samples(self) -> List[Sample]:
-        with self._lock:
-            items = sorted(self._values.items())
-        return [
-            ("", dict(zip(self.labelnames, key)), value)
-            for key, value in items
-        ]
 
 
 class _HistogramData:
@@ -167,7 +184,15 @@ class _HistogramData:
 
 
 class Histogram(_Family):
-    """Log2-bucketed histogram family (cumulative Prometheus exposition)."""
+    """Bucketed histogram family (cumulative Prometheus exposition).
+
+    Each label set keeps its bucket counts plus the count, sum and max of
+    what it observed.  The default log2 buckets give quantile estimates
+    (:meth:`quantile`, :meth:`summary`); ``bounds=()`` keeps only the
+    ``+Inf`` bucket -- three samples per label set -- for values whose
+    distribution nobody reads (batch sizes, per-outcome latency).  The
+    max feeds ``/stats``; the Prometheus exposition has no max series.
+    """
 
     kind = "histogram"
 
@@ -182,61 +207,107 @@ class Histogram(_Family):
         self.bounds = tuple(float(bound) for bound in bounds)
         if sorted(self.bounds) != list(self.bounds):
             raise ValueError("histogram bounds must be sorted ascending")
-        self._data: Dict[Tuple[str, ...], _HistogramData] = {}
+        if not self.labelnames:
+            self._values[()] = _HistogramData(len(self.bounds) + 1)
 
     def observe(self, value: float, **labels: Any) -> None:
         """Record one observation under one label set."""
-        key = _label_key(self.labelnames, labels)
+        self._record(_label_key(self.labelnames, labels), value)
+
+    def _record(
+        self, key: Tuple[str, ...], value: float, times: int = 1
+    ) -> None:
         index = bisect_right(self.bounds, value)
         with self._lock:
-            data = self._data.get(key)
+            data = self._values.get(key)
             if data is None:
-                data = self._data[key] = _HistogramData(len(self.bounds) + 1)
-            data.counts[index] += 1
-            data.count += 1
-            data.total += value
+                data = self._values[key] = _HistogramData(len(self.bounds) + 1)
+            data.counts[index] += times
+            data.count += times
+            data.total += value * times
             if value > data.max:
                 data.max = value
 
     def count(self, **labels: Any) -> int:
         """Observations recorded under one label set."""
+        return self.totals(**labels)[0]
+
+    def totals(self, **labels: Any) -> Tuple[int, float, float]:
+        """(count, sum, max) of one label set; zeros before any observation."""
         key = _label_key(self.labelnames, labels)
         with self._lock:
-            data = self._data.get(key)
-            return 0 if data is None else data.count
+            data = self._values.get(key)
+            if data is None:
+                return 0, 0.0, 0.0
+            return data.count, data.total, data.max
+
+    def quantile(self, fraction: float, **labels: Any) -> float:
+        """Estimated quantile of one label set, read from the bucket counts.
+
+        The estimate is the upper bound of the bucket holding the rank,
+        clamped to the max seen (the overflow bucket reports the max), so
+        it lies within one bucket width of the true quantile and never
+        above the largest observation.  An empty label set returns the
+        sentinel ``0.0`` -- never ``nan``.
+        """
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"fraction must be within [0, 1], got {fraction}")
+        key = _label_key(self.labelnames, labels)
+        with self._lock:
+            data = self._values.get(key)
+            if data is None or data.count == 0:
+                return 0.0
+            return self._quantile_locked(data, fraction)
+
+    def _quantile_locked(self, data: _HistogramData, fraction: float) -> float:
+        rank = fraction * data.count
+        cumulative = 0
+        for index, count in enumerate(data.counts):
+            cumulative += count
+            if cumulative >= rank:
+                if index < len(self.bounds):
+                    return min(self.bounds[index], data.max)
+                return data.max
+        return data.max
+
+    def summary(self, **labels: Any) -> Dict[str, Any]:
+        """One label set as ``/stats`` reports latency, in milliseconds."""
+        key = _label_key(self.labelnames, labels)
+        with self._lock:
+            data = self._values.get(key)
+            if data is None or data.count == 0:
+                return {
+                    "count": 0, "mean_ms": 0.0, "max_ms": 0.0,
+                    "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0,
+                }
+            return {
+                "count": data.count,
+                "mean_ms": data.total / data.count * 1000.0,
+                "max_ms": data.max * 1000.0,
+                "p50_ms": self._quantile_locked(data, 0.50) * 1000.0,
+                "p95_ms": self._quantile_locked(data, 0.95) * 1000.0,
+                "p99_ms": self._quantile_locked(data, 0.99) * 1000.0,
+            }
 
     def samples(self) -> List[Sample]:
         with self._lock:
             snapshot = [
                 (key, list(data.counts), data.count, data.total)
-                for key, data in sorted(self._data.items())
+                for key, data in sorted(self._values.items())
             ]
         out: List[Sample] = []
         for key, counts, count, total in snapshot:
             labels = dict(zip(self.labelnames, key))
-            out.extend(
-                bucket_samples(counts, count, total, self.bounds, labels)
-            )
+            cumulative = 0
+            for bound, bucket in zip(self.bounds, counts):
+                cumulative += bucket
+                out.append(
+                    ("_bucket", {**labels, "le": format_value(bound)}, cumulative)
+                )
+            out.append(("_bucket", {**labels, "le": "+Inf"}, count))
+            out.append(("_sum", labels, total))
+            out.append(("_count", labels, count))
         return out
-
-
-def bucket_samples(
-    counts: Sequence[int],
-    count: int,
-    total: float,
-    bounds: Sequence[float],
-    labels: Mapping[str, str],
-) -> List[Sample]:
-    """Cumulative ``_bucket``/``_sum``/``_count`` samples of one label set."""
-    out: List[Sample] = []
-    cumulative = 0
-    for bound, bucket in zip(bounds, counts):
-        cumulative += bucket
-        out.append(("_bucket", {**labels, "le": format_value(bound)}, cumulative))
-    out.append(("_bucket", {**labels, "le": "+Inf"}, count))
-    out.append(("_sum", dict(labels), total))
-    out.append(("_count", dict(labels), count))
-    return out
 
 
 class _CallbackFamily(_Family):
@@ -264,7 +335,8 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
 
-    def _register(self, family: _Family) -> _Family:
+    def register(self, family: FamilyT) -> FamilyT:
+        """Add a family created elsewhere; names are unique per registry."""
         with self._lock:
             if family.name in self._families:
                 raise ValueError(f"metric {family.name!r} already registered")
@@ -275,17 +347,13 @@ class MetricsRegistry:
         self, name: str, help_text: str, labelnames: Sequence[str] = ()
     ) -> Counter:
         """Create and register a counter family."""
-        counter = Counter(name, help_text, labelnames)
-        self._register(counter)
-        return counter
+        return self.register(Counter(name, help_text, labelnames))
 
     def gauge(
         self, name: str, help_text: str, labelnames: Sequence[str] = ()
     ) -> Gauge:
         """Create and register a gauge family."""
-        gauge = Gauge(name, help_text, labelnames)
-        self._register(gauge)
-        return gauge
+        return self.register(Gauge(name, help_text, labelnames))
 
     def histogram(
         self,
@@ -295,9 +363,7 @@ class MetricsRegistry:
         bounds: Sequence[float] = LOG2_BOUNDS_S,
     ) -> Histogram:
         """Create and register a histogram family."""
-        histogram = Histogram(name, help_text, labelnames, bounds)
-        self._register(histogram)
-        return histogram
+        return self.register(Histogram(name, help_text, labelnames, bounds))
 
     def callback(
         self,
@@ -308,12 +374,12 @@ class MetricsRegistry:
     ) -> None:
         """Register a scrape-time sample function as one family.
 
-        This is how counters that already live elsewhere (cache stats,
-        batcher stats, pool counters, SLO trackers) join the exposition
-        without being rewritten on the registry's primitives: ``sample_fn``
-        runs at every :meth:`render` and returns the family's samples.
+        For values that are read rather than counted, and for families
+        whose value is another family's count or sum: ``sample_fn`` runs
+        at every :meth:`render` / :meth:`snapshot` and returns the
+        family's samples.
         """
-        self._register(_CallbackFamily(name, help_text, kind, sample_fn))
+        self.register(_CallbackFamily(name, help_text, kind, sample_fn))
 
     def render(self) -> str:
         """The Prometheus text exposition of every registered family."""
@@ -368,193 +434,12 @@ class MetricsRegistry:
         return out
 
 
-class LatencyHistogram:
-    """Log-bucketed latency histogram with percentile estimates (thread-safe).
-
-    Buckets double from 1 microsecond up through ~67 seconds plus one
-    overflow bucket, so recording is O(1) with a fixed ~30-int footprint
-    per endpoint -- safe to keep forever under production traffic, unlike
-    a reservoir of raw samples.  Percentiles are read from the cumulative
-    bucket counts and reported as each bucket's upper bound: an estimate
-    within 2x of the true quantile, which is what latency SLOs need
-    (p99 "about 8 ms" vs "about 16 ms", never "about 3 ms" when it's 20).
-    """
-
-    #: Upper bounds of the log2 buckets, in seconds (1 us .. ~67 s).
-    BOUNDS_S = LOG2_BOUNDS_S
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = [0] * (len(self.BOUNDS_S) + 1)  # +1 overflow
-        self._count = 0
-        self._total_s = 0.0
-        self._max_s = 0.0
-
-    def record(self, seconds: float) -> None:
-        """Record one observation, in seconds."""
-        index = bisect_right(self.BOUNDS_S, seconds)
-        with self._lock:
-            self._counts[index] += 1
-            self._count += 1
-            self._total_s += seconds
-            if seconds > self._max_s:
-                self._max_s = seconds
-
-    def snapshot(self) -> Tuple[List[int], int, float, float]:
-        """Consistent (bucket counts, count, total_s, max_s) snapshot."""
-        with self._lock:
-            return list(self._counts), self._count, self._total_s, self._max_s
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        Both histograms share the fixed :data:`LOG2_BOUNDS_S` buckets, so
-        the merge is exact (bucket counts sum elementwise); the estimator
-        error of the merged histogram is the same <=2x bucket-width error
-        as either input's.  Used by the cluster scope to combine
-        per-process snapshots.
-        """
-        counts, count, total_s, max_s = other.snapshot()
-        with self._lock:
-            for index, bucket in enumerate(counts):
-                self._counts[index] += bucket
-            self._count += count
-            self._total_s += total_s
-            if max_s > self._max_s:
-                self._max_s = max_s
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        counts: Sequence[int],
-        count: int,
-        total_s: float,
-        max_s: float,
-    ) -> "LatencyHistogram":
-        """Rebuild a histogram from a :meth:`snapshot` tuple."""
-        histogram = cls()
-        if len(counts) != len(histogram._counts):
-            raise ValueError(
-                f"expected {len(histogram._counts)} buckets, got {len(counts)}"
-            )
-        histogram._counts = [int(bucket) for bucket in counts]
-        histogram._count = int(count)
-        histogram._total_s = float(total_s)
-        histogram._max_s = float(max_s)
-        return histogram
-
-    def quantile(self, fraction: float) -> float:
-        """Estimated quantile in seconds, read from the bucket counts.
-
-        An empty histogram returns the documented sentinel ``0.0`` for
-        every quantile -- never ``nan`` -- and a single-observation
-        histogram returns that observation's bucket estimate (clamped to
-        the max seen, so it is the observation itself) for every
-        fraction.  Estimates are bounded by the largest sample recorded.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be within [0, 1], got {fraction}")
-        with self._lock:
-            if self._count == 0:
-                return 0.0
-            return self._percentile_locked(fraction)
-
-    def _percentile_locked(self, fraction: float) -> float:
-        rank = fraction * self._count
-        cumulative = 0
-        for index, count in enumerate(self._counts):
-            cumulative += count
-            if cumulative >= rank:
-                if index < len(self.BOUNDS_S):
-                    # Clamped: a bucket's upper bound can exceed the
-                    # largest sample actually seen.
-                    return min(self.BOUNDS_S[index], self._max_s)
-                return self._max_s  # overflow bucket: report the max seen
-        return self._max_s
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """Encode for the ``/stats`` endpoint (milliseconds for humans)."""
-        with self._lock:
-            if self._count == 0:
-                return {
-                    "count": 0, "mean_ms": 0.0, "max_ms": 0.0,
-                    "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0,
-                }
-            return {
-                "count": self._count,
-                "mean_ms": self._total_s / self._count * 1000.0,
-                "max_ms": self._max_s * 1000.0,
-                "p50_ms": self._percentile_locked(0.50) * 1000.0,
-                "p95_ms": self._percentile_locked(0.95) * 1000.0,
-                "p99_ms": self._percentile_locked(0.99) * 1000.0,
-            }
-
-
-def latency_histogram_samples(
-    histogram: LatencyHistogram, labels: Mapping[str, str]
-) -> List[Sample]:
-    """One :class:`LatencyHistogram` as Prometheus histogram samples."""
-    counts, count, total, _ = histogram.snapshot()
-    return bucket_samples(counts, count, total, histogram.BOUNDS_S, labels)
-
-
-class EndpointLatencies:
-    """Per-endpoint latency histograms for ``/stats`` (thread-safe).
-
-    Endpoints are labelled by route pattern (``"GET /campaign/*"``), not
-    raw path, so the map stays bounded regardless of how many campaign
-    ids traffic touches.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._histograms: Dict[str, LatencyHistogram] = {}
-
-    def observe(self, endpoint: str, seconds: float) -> None:
-        """Record one request's latency under its endpoint label."""
-        with self._lock:
-            histogram = self._histograms.get(endpoint)
-            if histogram is None:
-                histogram = self._histograms[endpoint] = LatencyHistogram()
-        histogram.record(seconds)
-
-    def histogram(self, endpoint: str) -> Optional[LatencyHistogram]:
-        """One endpoint's histogram, or ``None`` before any observation."""
-        with self._lock:
-            return self._histograms.get(endpoint)
-
-    def items(self) -> List[Tuple[str, LatencyHistogram]]:
-        """Endpoint-sorted (label, histogram) snapshot."""
-        with self._lock:
-            return sorted(self._histograms.items())
-
-    def prometheus_samples(self, label_name: str = "endpoint") -> List[Sample]:
-        """Every endpoint's histogram as one family's samples."""
-        out: List[Sample] = []
-        for endpoint, histogram in self.items():
-            out.extend(
-                latency_histogram_samples(histogram, {label_name: endpoint})
-            )
-        return out
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """Encode for the ``/stats`` endpoint, endpoint-sorted."""
-        return {
-            endpoint: histogram.to_json_dict()
-            for endpoint, histogram in self.items()
-        }
-
-
 __all__ = [
     "Counter",
-    "EndpointLatencies",
     "Gauge",
     "Histogram",
     "LOG2_BOUNDS_S",
-    "LatencyHistogram",
     "MetricsRegistry",
-    "bucket_samples",
     "format_labels",
     "format_value",
-    "latency_histogram_samples",
 ]

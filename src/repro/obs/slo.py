@@ -4,8 +4,9 @@ An SLO here is "fraction of requests to endpoints matching *key* that
 finish under *threshold* milliseconds must be at least *target*"
 (target defaults to 99%).  The tracker keeps, per key:
 
-* cumulative ``good`` / ``total`` event counts (Prometheus counters --
-  the durable signal an external system would alert on), and
+* cumulative ``good`` / ``bad`` event counts in the
+  ``repro_slo_events_total`` counter family (the durable signal an
+  external system would alert on), and
 * two in-process burn-rate windows (5 minutes of 15 s buckets, 1 hour of
   60 s buckets) so ``/stats`` and ``/metrics`` can answer "how fast am I
   spending error budget *right now*" without an external store.
@@ -28,7 +29,7 @@ import threading
 import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from .metrics import MetricsRegistry, Sample
+from .metrics import Counter, MetricsRegistry, Sample
 
 #: Default objectives applied when ``--slo-ms`` is not given: interactive
 #: allocates in 25 ms, campaign operations in 5 s.
@@ -113,27 +114,27 @@ class _Window:
 
 
 class _Objective:
-    """One SLO key's counters and windows."""
+    """One SLO key's threshold and burn-rate windows."""
 
     def __init__(self, threshold_ms: float) -> None:
         self.threshold_s = threshold_ms / 1000.0
         self.threshold_ms = threshold_ms
-        self.good = 0
-        self.total = 0
         self.windows = {
             label: _Window(window_s, bucket_s)
             for label, window_s, bucket_s in _WINDOWS
         }
 
     def record(self, good: bool, now: float) -> None:
-        self.good += 1 if good else 0
-        self.total += 1
         for window in self.windows.values():
             window.record(good, now)
 
 
 class SloTracker:
-    """Per-endpoint latency objectives with burn-rate windows (thread-safe)."""
+    """Per-endpoint latency objectives with burn-rate windows (thread-safe).
+
+    The cumulative good/bad counts live in the ``repro_slo_events_total``
+    counter family (:attr:`events`); the windows only feed burn rates.
+    """
 
     def __init__(
         self,
@@ -148,6 +149,19 @@ class SloTracker:
             key: _Objective(threshold_ms)
             for key, threshold_ms in (slo_ms or DEFAULT_SLO_MS).items()
         }
+        self.events = Counter(
+            "repro_slo_events_total",
+            "Requests judged against each SLO, by outcome.",
+            ("slo", "outcome"),
+        )
+        for key in self._objectives:
+            for outcome in ("good", "bad"):
+                self.events.inc(0.0, slo=key, outcome=outcome)
+
+    def _counts(self, key: str) -> Tuple[int, int]:
+        """(good, total) events judged against one objective so far."""
+        good = int(self.events.value(slo=key, outcome="good"))
+        return good, good + int(self.events.value(slo=key, outcome="bad"))
 
     def match(self, endpoint: str) -> Optional[str]:
         """The SLO key covering an endpoint label, longest key winning."""
@@ -171,9 +185,11 @@ class SloTracker:
             return None
         if now is None:
             now = time.time()
+        objective = self._objectives[key]
+        good = seconds <= objective.threshold_s
         with self._lock:
-            objective = self._objectives[key]
-            objective.record(seconds <= objective.threshold_s, now)
+            objective.record(good, now)
+        self.events.inc(slo=key, outcome="good" if good else "bad")
         return key
 
     def burn_rate(
@@ -199,14 +215,10 @@ class SloTracker:
         if now is None:
             now = time.time()
         out: Dict[str, Any] = {"target": self.target, "objectives": {}}
-        with self._lock:
-            snapshot = [
-                (key, obj.threshold_ms, obj.good, obj.total)
-                for key, obj in sorted(self._objectives.items())
-            ]
-        for key, threshold_ms, good, total in snapshot:
+        for key, objective in sorted(self._objectives.items()):
+            good, total = self._counts(key)
             out["objectives"][key] = {
-                "threshold_ms": threshold_ms,
+                "threshold_ms": objective.threshold_ms,
                 "good": good,
                 "total": total,
                 "compliance": (good / total) if total else 1.0,
@@ -229,10 +241,11 @@ class SloTracker:
         out: Dict[str, Any] = {"target": self.target, "objectives": {}}
         with self._lock:
             for key, objective in sorted(self._objectives.items()):
+                good, total = self._counts(key)
                 out["objectives"][key] = {
                     "threshold_ms": objective.threshold_ms,
-                    "good": objective.good,
-                    "total": objective.total,
+                    "good": good,
+                    "total": total,
                     "windows": {
                         label: {
                             "bucket_s": window.bucket_s,
@@ -244,7 +257,7 @@ class SloTracker:
                 }
         return out
 
-    # -- Prometheus sample functions (wired via MetricsRegistry.callback) --
+    # -- Prometheus families --
 
     def _threshold_samples(self) -> List[Sample]:
         with self._lock:
@@ -253,18 +266,6 @@ class SloTracker:
                 for key, obj in sorted(self._objectives.items())
             ]
         return [("", {"slo": key}, value) for key, value in items]
-
-    def _event_samples(self) -> List[Sample]:
-        with self._lock:
-            items = [
-                (key, obj.good, obj.total)
-                for key, obj in sorted(self._objectives.items())
-            ]
-        out: List[Sample] = []
-        for key, good, total in items:
-            out.append(("", {"slo": key, "outcome": "good"}, good))
-            out.append(("", {"slo": key, "outcome": "bad"}, total - good))
-        return out
 
     def _burn_rate_samples(self) -> List[Sample]:
         now = time.time()
@@ -284,12 +285,7 @@ class SloTracker:
             "gauge",
             self._threshold_samples,
         )
-        registry.callback(
-            "repro_slo_events_total",
-            "Requests judged against each SLO, by outcome.",
-            "counter",
-            self._event_samples,
-        )
+        registry.register(self.events)
         registry.callback(
             "repro_slo_burn_rate",
             "Error-budget burn rate per SLO over trailing windows.",

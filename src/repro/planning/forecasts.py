@@ -21,9 +21,8 @@ Three providers span the forecast-quality axis the planning studies sweep:
   multiplicative noise (seeded, clipped at zero), turning forecast error
   into a first-class scenario axis.
 
-These providers are *trace-level* wrappers over the same signal the online
-estimators in :mod:`repro.harvesting.forecast` track incrementally; the
-matrix form is what the lockstep planning scan needs.
+The providers are *trace-level*: the matrix form is what the lockstep
+planning scan needs.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ devices consult at production scale.  This package is that layer:
   bursts of concurrent requests into single
   :class:`~repro.core.batch.BatchAllocator` dispatches;
 * :mod:`repro.service.cache` -- an LRU result cache keyed by the canonical
-  encoding, with hit/miss/latency counters;
+  encoding, counting hits, misses and evictions;
 * :mod:`repro.service.pool` -- a worker pool fanning batched dispatch
   groups across engine (thread) workers and campaign cells across a
   persistent :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -25,15 +25,14 @@ devices consult at production scale.  This package is that layer:
 """
 
 from repro.service.batcher import (
-    BatcherStats,
     EngineRegistry,
     MicroBatcher,
     group_requests,
     solve_batch,
     solve_group,
 )
-from repro.service.cache import AllocationCache, CacheStats, LatencyRecorder
-from repro.service.pool import WorkerPool, WorkerStats
+from repro.service.cache import AllocationCache
+from repro.service.pool import WorkerPool
 from repro.service.requests import (
     AllocationRequest,
     AllocationResponse,
@@ -69,18 +68,14 @@ __all__ = [
     "AllocationResponse",
     "AllocationServer",
     "AllocationService",
-    "BatcherStats",
-    "CacheStats",
     "CampaignJob",
     "CampaignRequest",
     "CampaignResponse",
     "EngineRegistry",
-    "LatencyRecorder",
     "MicroBatcher",
     "ServerHandle",
     "ServiceError",
     "WorkerPool",
-    "WorkerStats",
     "group_requests",
     "run_server",
     "run_sharded_campaign",

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.obs import tracing
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.core.batch import BatchAllocator, BoundedLru
 from repro.core.design_point import DesignPoint, canonical_design_key
 from repro.data.table2 import table2_design_points
@@ -185,38 +186,6 @@ def solve_batch(
     return responses  # type: ignore[return-value]
 
 
-class BatcherStats:
-    """Counters describing how the coalescer has been behaving."""
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.batches = 0
-        self.largest_batch = 0
-
-    def record(self, batch_size: int) -> None:
-        """Account one dispatched batch."""
-        self.requests += batch_size
-        self.batches += 1
-        if batch_size > self.largest_batch:
-            self.largest_batch = batch_size
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average requests per dispatched batch (0.0 before any)."""
-        if self.batches == 0:
-            return 0.0
-        return self.requests / self.batches
-
-    def to_json_dict(self) -> Dict[str, float]:
-        """Encode for the ``/stats`` endpoint."""
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-            "mean_batch_size": self.mean_batch_size,
-        }
-
-
 class MicroBatcher:
     """Coalesces concurrent asyncio solve calls into batched dispatches.
 
@@ -266,7 +235,14 @@ class MicroBatcher:
         self.window_s = float(window_s)
         self.max_batch = int(max_batch)
         self.pool = pool
-        self.stats = BatcherStats()
+        #: Requests per flushed solve chunk: its count is the batches, its
+        #: sum the requests and its max the largest batch.
+        self.batch_size = Histogram(
+            "repro_batcher_batch_size",
+            "Requests per vectorized solve batch flushed by the "
+            "micro-batcher.",
+            bounds=(),
+        )
         # Entries are (burst, future, trace_ctx): a single request is a
         # burst of one whose future resolves to one response; solve_bulk
         # futures resolve to the whole burst's response list.  trace_ctx is
@@ -285,6 +261,22 @@ class MicroBatcher:
         # Pool flushes run as loop tasks; keep strong references so they
         # are not garbage-collected mid-dispatch.
         self._inflight: Set["asyncio.Task"] = set()
+
+    def register_metrics(self, registry: MetricsRegistry) -> None:
+        """Expose the batcher's families on a metrics registry."""
+        registry.register(self.batch_size)
+        registry.callback(
+            "repro_batcher_requests_total",
+            "Allocation requests that reached the micro-batcher.",
+            "counter",
+            lambda: [("", {}, self.batch_size.totals()[1])],
+        )
+        registry.callback(
+            "repro_batcher_batches_total",
+            "Vectorized solve batches flushed by the micro-batcher.",
+            "counter",
+            lambda: [("", {}, self.batch_size.count())],
+        )
 
     @property
     def num_pending(self) -> int:
@@ -377,7 +369,7 @@ class MicroBatcher:
             except Exception as failure:  # propagate to every waiter
                 error = failure
                 break
-            self.stats.record(len(chunk))
+            self.batch_size.observe(len(chunk))
         elapsed = time.perf_counter() - dispatch_start
         # One batcher.solve span per *traced* burst: the dispatch served
         # every pending burst at once, so each traced requester sees the
@@ -425,7 +417,6 @@ class MicroBatcher:
 
 
 __all__ = [
-    "BatcherStats",
     "EngineRegistry",
     "MicroBatcher",
     "group_requests",

@@ -1,67 +1,25 @@
-"""LRU result cache and service counters.
+"""LRU result cache of served allocations.
 
 The allocation problem space is small in practice -- fleets of devices with
 the same design-point set asking about a modest set of (budget, alpha)
 pairs -- so an LRU map keyed by the canonical problem encoding
 (:attr:`repro.service.requests.AllocationRequest.cache_key`) absorbs most of
 a production workload before it ever reaches the batch engine.  The cache
-itself is thread-safe and keeps hit/miss/eviction counters (note the
-surrounding :class:`~repro.service.server.AllocationService` is still
-bound to one event loop -- its micro-batcher parks futures on the calling
-loop); solve latency is tracked separately by :class:`LatencyRecorder` so
-the ``/stats`` endpoint can report both.
-
-The latency *histogram* types (:class:`LatencyHistogram`,
-:class:`EndpointLatencies`) moved to :mod:`repro.obs.metrics` when the
-observability layer landed; they are re-exported here unchanged for
-existing imports.
+itself is thread-safe and counts its hits, misses and evictions in
+:mod:`repro.obs.metrics` families (note the surrounding
+:class:`~repro.service.server.AllocationService` is still bound to one
+event loop -- its micro-batcher parks futures on the calling loop).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, Generic, Hashable, Optional, Tuple, TypeVar
+from typing import Generic, Hashable, Optional, TypeVar
 
-from repro.obs.metrics import EndpointLatencies, LatencyHistogram
+from repro.obs.metrics import Counter, MetricsRegistry
 
 Value = TypeVar("Value")
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Point-in-time snapshot of one cache's counters."""
-
-    entries: int
-    max_entries: int
-    hits: int
-    misses: int
-    evictions: int
-
-    @property
-    def lookups(self) -> int:
-        """Total number of ``get`` calls."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before any lookup)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """Encode for the ``/stats`` endpoint."""
-        return {
-            "entries": self.entries,
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "lookups": self.lookups,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class AllocationCache(Generic[Value]):
@@ -79,9 +37,18 @@ class AllocationCache(Generic[Value]):
         self.max_entries = int(max_entries)
         self._entries: "OrderedDict[Hashable, Value]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self.lookups = Counter(
+            "repro_cache_lookups_total",
+            "Allocation cache lookups, by result.",
+            ("result",),
+        )
+        self._count_hit = self.lookups.bind(result="hit")
+        self._count_miss = self.lookups.bind(result="miss")
+        self._count_hit(0.0)  # both series exist from the start
+        self._count_miss(0.0)
+        self.evictions = Counter(
+            "repro_cache_evictions_total", "Allocation cache LRU evictions."
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -89,14 +56,14 @@ class AllocationCache(Generic[Value]):
     def get(self, key: Hashable) -> Optional[Value]:
         """Look up a key, refreshing its recency; ``None`` on a miss."""
         with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return value
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+        if value is None:
+            self._count_miss()
+        else:
+            self._count_hit()
+        return value
 
     def put(self, key: Hashable, value: Value) -> None:
         """Store a key, evicting the least recently used entry when full."""
@@ -105,95 +72,27 @@ class AllocationCache(Generic[Value]):
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
+            evicted = len(self._entries) - self.max_entries
+            for _ in range(evicted):
                 self._entries.popitem(last=False)
-                self._evictions += 1
+        if evicted > 0:
+            self.evictions.inc(evicted)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         with self._lock:
             self._entries.clear()
 
-    @property
-    def stats(self) -> CacheStats:
-        """Snapshot of the cache counters."""
-        with self._lock:
-            return CacheStats(
-                entries=len(self._entries),
-                max_entries=self.max_entries,
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-            )
+    def register_metrics(self, registry: MetricsRegistry) -> None:
+        """Expose the cache's families on a metrics registry."""
+        registry.register(self.lookups)
+        registry.register(self.evictions)
+        registry.callback(
+            "repro_cache_entries",
+            "Entries currently held in the allocation cache.",
+            "gauge",
+            lambda: [("", {}, len(self))],
+        )
 
 
-class LatencyRecorder:
-    """Running latency statistics of the allocate path, by outcome.
-
-    ``record(seconds)`` counts a batch-engine solve, as it always has;
-    ``record(seconds, outcome="cache_hit")`` / ``outcome="error"`` record
-    the paths the aggregate block used to silently skip, so the
-    ``latency`` block reconciles with the per-endpoint histograms.  The
-    top-level ``solves`` / ``mean_ms`` / ``max_ms`` fields keep their
-    historical meaning (solve outcome only); other outcomes appear under
-    ``by_outcome``.  Thread-safe.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # outcome -> [count, total_s, max_s]
-        self._outcomes: Dict[str, list] = {}
-
-    def record(self, seconds: float, outcome: str = "solve") -> None:
-        """Record one observation's wall-clock latency under an outcome."""
-        with self._lock:
-            stats = self._outcomes.get(outcome)
-            if stats is None:
-                stats = self._outcomes[outcome] = [0, 0.0, 0.0]
-            stats[0] += 1
-            stats[1] += seconds
-            if seconds > stats[2]:
-                stats[2] = seconds
-
-    def count(self, outcome: str = "solve") -> int:
-        """Observations recorded under one outcome."""
-        with self._lock:
-            stats = self._outcomes.get(outcome)
-            return 0 if stats is None else stats[0]
-
-    def outcome_counts(self) -> Dict[str, int]:
-        """Outcome -> observation count snapshot."""
-        with self._lock:
-            return {outcome: stats[0] for outcome, stats in self._outcomes.items()}
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """Encode for the ``/stats`` endpoint (milliseconds for humans)."""
-        with self._lock:
-            snapshot: Dict[str, Tuple[int, float, float]] = {
-                outcome: (stats[0], stats[1], stats[2])
-                for outcome, stats in self._outcomes.items()
-            }
-        count, total_s, max_s = snapshot.get("solve", (0, 0.0, 0.0))
-        payload: Dict[str, Any] = {
-            "solves": count,
-            "mean_ms": total_s / count * 1000.0 if count else 0.0,
-            "max_ms": max_s * 1000.0,
-        }
-        payload["by_outcome"] = {
-            outcome: {
-                "count": ocount,
-                "mean_ms": ototal / ocount * 1000.0 if ocount else 0.0,
-                "max_ms": omax * 1000.0,
-            }
-            for outcome, (ocount, ototal, omax) in sorted(snapshot.items())
-        }
-        return payload
-
-
-__all__ = [
-    "AllocationCache",
-    "CacheStats",
-    "EndpointLatencies",
-    "LatencyHistogram",
-    "LatencyRecorder",
-]
+__all__ = ["AllocationCache"]

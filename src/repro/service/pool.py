@@ -16,8 +16,8 @@ One allocation service process has two kinds of heavy work:
   sharded runner of :mod:`repro.service.shard`.
 
 :class:`WorkerPool` owns both executors (the process pool is created
-lazily, on the first campaign) plus per-worker counters that the server
-merges into its ``/stats`` payload.  ``workers=1`` keeps every solve
+lazily, on the first campaign) plus per-worker metric families that the
+server's ``/stats`` and ``/metrics`` read.  ``workers=1`` keeps every solve
 inline on the calling thread -- that is the single-worker baseline the
 pooled benchmark in ``benchmarks/bench_service.py`` must beat.
 """
@@ -28,39 +28,16 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.obs import tracing
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.service.batcher import EngineRegistry, group_requests, solve_group
 from repro.service.requests import AllocationRequest, AllocationResponse
 
 #: Smallest per-worker slice of one dispatch group.  Splitting below this
 #: size trades more executor overhead than the parallel solve wins back.
 MIN_SLICE = 16
-
-
-class WorkerStats:
-    """Counters of one engine worker (identified by its thread name)."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.tasks = 0
-        self.requests = 0
-        self.busy_s = 0.0
-
-    def record(self, num_requests: int, busy_s: float) -> None:
-        """Account one completed solve task."""
-        self.tasks += 1
-        self.requests += num_requests
-        self.busy_s += busy_s
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """Encode for the ``/stats`` endpoint."""
-        return {
-            "tasks": self.tasks,
-            "requests": self.requests,
-            "busy_ms": self.busy_s * 1000.0,
-        }
 
 
 class WorkerPool:
@@ -114,10 +91,24 @@ class WorkerPool:
         )
         self._campaign_executor: Optional[ProcessPoolExecutor] = None
         self._campaign_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-        self._worker_stats: Dict[str, WorkerStats] = {}
-        self._campaigns = 0
         self._closed = False
+        #: Busy seconds per solve task, by engine worker (thread name): its
+        #: count is the worker's tasks, its sum the worker's busy time.
+        self.task_seconds = Histogram(
+            "repro_pool_task_seconds",
+            "Busy seconds per solve task, by engine worker thread.",
+            ("worker",),
+            bounds=(),
+        )
+        self.task_requests = Counter(
+            "repro_pool_requests_total",
+            "Requests solved by the engine worker pool, by worker thread.",
+            ("worker",),
+        )
+        self.campaigns_run = Counter(
+            "repro_pool_campaigns_total",
+            "Campaign grids run on the worker pool.",
+        )
 
     # --- lifecycle --------------------------------------------------------------
     @property
@@ -202,11 +193,8 @@ class WorkerPool:
         responses = solve_group(engine, requests, batch_size=group_size)
         elapsed = time.perf_counter() - started
         name = threading.current_thread().name
-        with self._stats_lock:
-            stats = self._worker_stats.get(name)
-            if stats is None:
-                stats = self._worker_stats[name] = WorkerStats(name)
-            stats.record(len(requests), elapsed)
+        self.task_seconds.observe(elapsed, worker=name)
+        self.task_requests.inc(len(requests), worker=name)
         if parent is not None:
             tracing.record_span(
                 "pool.slice",
@@ -354,28 +342,46 @@ class WorkerPool:
             completed=completed,
             on_shard_done=on_shard_done,
         )
-        with self._stats_lock:
-            self._campaigns += 1
+        self.campaigns_run.inc()
         return result
 
-    # --- stats ------------------------------------------------------------------
-    def stats(self) -> Dict[str, Any]:
-        """Pool counters for the ``/stats`` endpoint (per-worker merge)."""
-        with self._stats_lock:
-            per_worker = {
-                name: stats.to_json_dict()
-                for name, stats in sorted(self._worker_stats.items())
-            }
-            campaigns = self._campaigns
-        return {
-            "workers": self.workers,
-            "campaign_workers": self.campaign_workers,
-            "tasks": sum(entry["tasks"] for entry in per_worker.values()),
-            "requests": sum(entry["requests"] for entry in per_worker.values()),
-            "busy_ms": sum(entry["busy_ms"] for entry in per_worker.values()),
-            "campaigns": campaigns,
-            "per_worker": per_worker,
-        }
+    # --- metrics ----------------------------------------------------------------
+    def register_metrics(self, registry: MetricsRegistry) -> None:
+        """Expose the pool's families on a metrics registry."""
+        registry.register(self.task_seconds)
+        registry.register(self.task_requests)
+        registry.register(self.campaigns_run)
+
+        def over_workers(field: int):
+            def sample():
+                return [("", {}, sum(
+                    self.task_seconds.totals(worker=worker)[field]
+                    for (worker,) in self.task_seconds.label_values()
+                ))]
+
+            return sample
+
+        registry.callback(
+            "repro_pool_tasks_total",
+            "Solve tasks completed by the engine worker pool.",
+            "counter",
+            over_workers(0),
+        )
+        registry.callback(
+            "repro_pool_busy_seconds_total",
+            "Cumulative busy time across engine workers.",
+            "counter",
+            over_workers(1),
+        )
+        registry.callback(
+            "repro_pool_workers",
+            "Configured engine (thread) and campaign (process) workers.",
+            "gauge",
+            lambda: [
+                ("", {"kind": "engine"}, self.workers),
+                ("", {"kind": "campaign"}, self.campaign_workers),
+            ],
+        )
 
 
-__all__ = ["MIN_SLICE", "WorkerPool", "WorkerStats"]
+__all__ = ["MIN_SLICE", "WorkerPool"]

@@ -127,14 +127,10 @@ from repro import __version__
 from repro.core.design_point import DesignPoint
 from repro.obs import cluster as obs_cluster
 from repro.obs import tracing
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import SloTracker
 from repro.service.batcher import EngineRegistry, MicroBatcher
-from repro.service.cache import (
-    AllocationCache,
-    EndpointLatencies,
-    LatencyRecorder,
-)
+from repro.service.cache import AllocationCache
 from repro.service.pool import WorkerPool
 from repro.service.requests import (
     AllocationRequest,
@@ -143,6 +139,7 @@ from repro.service.requests import (
     CampaignResponse,
 )
 from repro.service.store import (
+    LEASE_EVENTS,
     RESUMABLE_STATUSES,
     CampaignStore,
     StoreError,
@@ -274,8 +271,6 @@ class AllocationService:
             max_batch=max_batch,
             pool=self.pool if workers > 1 else None,
         )
-        self.latency = LatencyRecorder()
-        self.endpoint_latency = EndpointLatencies()
         #: Per-endpoint latency objectives (``--slo-ms``); burn rates feed
         #: both ``/stats`` and ``/metrics``.
         self.slo = SloTracker(slo_ms)
@@ -287,18 +282,6 @@ class AllocationService:
         #: High-water mark into the trace recorder's drain buffer; spans
         #: filed after it are persisted on the next snapshot publication.
         self._span_seq = 0
-        self.metrics = MetricsRegistry()
-        self._requests_total = self.metrics.counter(
-            "repro_requests_total",
-            "HTTP requests served, by endpoint and status code.",
-            ("endpoint", "status"),
-        )
-        self._campaign_phase = self.metrics.histogram(
-            "repro_campaign_phase_seconds",
-            "Wall-clock seconds spent per campaign pipeline phase.",
-            ("phase",),
-        )
-        self._register_metrics()
         #: Retained campaign jobs; finished ones beyond ``max_campaigns``
         #: are evicted oldest-first (a month-long grid's columns are big --
         #: unbounded retention would leak a long-running service to death).
@@ -309,17 +292,30 @@ class AllocationService:
         #: for services without a store; with a store the mapping is
         #: durable and lives in its ``idempotency`` table.
         self._idempotency: Dict[str, str] = {}
+        #: The one stats source: ``/metrics``, ``/stats`` and the cluster
+        #: snapshot all read these families (see :meth:`stats`).
+        self.metrics = MetricsRegistry()
+        self._register_metrics()
 
     def _register_metrics(self) -> None:
-        """Expose the pre-existing counter objects on the registry.
+        """Create the service's own families and register every component's.
 
-        Everything here is a scrape-time callback over state the service
-        already keeps (cache/batcher/pool counters, latency histograms,
-        SLO windows), so ``/metrics`` adds no per-request bookkeeping
-        beyond the two families recorded directly
-        (``repro_requests_total``, ``repro_campaign_phase_seconds``).
+        Each component records into families it owns; callbacks here are
+        only for values read rather than counted (build info, uptime,
+        engines, campaigns by status) and for ``repro_allocations_total``,
+        which is the count of ``repro_allocation_seconds``.
         """
         metrics = self.metrics
+        self._requests_total = metrics.counter(
+            "repro_requests_total",
+            "HTTP requests served, by endpoint and status code.",
+            ("endpoint", "status"),
+        )
+        self._campaign_phase = metrics.histogram(
+            "repro_campaign_phase_seconds",
+            "Wall-clock seconds spent per campaign pipeline phase.",
+            ("phase",),
+        )
         metrics.callback(
             "repro_build_info",
             "Constant 1, labelled with the package version and Python "
@@ -347,75 +343,31 @@ class AllocationService:
             "gauge",
             lambda: [("", {}, time.monotonic() - self._started_monotonic)],
         )
-        def _cache_lookup_samples():
-            stats = self.cache.stats
-            return [
-                ("", {"result": "hit"}, stats.hits),
-                ("", {"result": "miss"}, stats.misses),
-            ]
-
-        metrics.callback(
-            "repro_cache_lookups_total",
-            "Allocation cache lookups, by result.",
-            "counter",
-            _cache_lookup_samples,
-        )
-        metrics.callback(
-            "repro_cache_evictions_total",
-            "Allocation cache LRU evictions.",
-            "counter",
-            lambda: [("", {}, self.cache.stats.evictions)],
-        )
-        metrics.callback(
-            "repro_cache_entries",
-            "Entries currently held in the allocation cache.",
-            "gauge",
-            lambda: [("", {}, len(self.cache))],
-        )
-        metrics.callback(
-            "repro_batcher_requests_total",
-            "Allocation requests that reached the micro-batcher.",
-            "counter",
-            lambda: [("", {}, self.batcher.stats.requests)],
-        )
-        metrics.callback(
-            "repro_batcher_batches_total",
-            "Vectorized solve batches flushed by the micro-batcher.",
-            "counter",
-            lambda: [("", {}, self.batcher.stats.batches)],
+        self.cache.register_metrics(metrics)
+        self.batcher.register_metrics(metrics)
+        #: Allocate-path latency by outcome (``solve`` / ``cache_hit`` /
+        #: ``error``), one observation per request.
+        self.allocation_seconds = metrics.register(Histogram(
+            "repro_allocation_seconds",
+            "Allocate-path latency per request, by outcome.",
+            ("outcome",),
+            bounds=(),
+        ))
+        self._observe_hit, self._observe_solve, self._observe_error = (
+            self.allocation_seconds.bind(outcome=outcome)
+            for outcome in ("cache_hit", "solve", "error")
         )
         metrics.callback(
             "repro_allocations_total",
             "Allocation calls, by outcome (solve, cache_hit, error).",
             "counter",
             lambda: [
-                ("", {"outcome": outcome}, count)
-                for outcome, count in sorted(
-                    self.latency.outcome_counts().items()
-                )
+                ("", {"outcome": outcome},
+                 self.allocation_seconds.count(outcome=outcome))
+                for (outcome,) in self.allocation_seconds.label_values()
             ],
         )
-        metrics.callback(
-            "repro_pool_tasks_total",
-            "Solve tasks completed by the engine worker pool.",
-            "counter",
-            lambda: [("", {}, self.pool.stats()["tasks"])],
-        )
-        metrics.callback(
-            "repro_pool_busy_seconds_total",
-            "Cumulative busy time across engine workers.",
-            "counter",
-            lambda: [("", {}, self.pool.stats()["busy_ms"] / 1000.0)],
-        )
-        metrics.callback(
-            "repro_pool_workers",
-            "Configured engine (thread) and campaign (process) workers.",
-            "gauge",
-            lambda: [
-                ("", {"kind": "engine"}, self.pool.workers),
-                ("", {"kind": "campaign"}, self.pool.campaign_workers),
-            ],
-        )
+        self.pool.register_metrics(metrics)
         metrics.callback(
             "repro_engines",
             "Allocation engines the registry holds (a bounded LRU).",
@@ -431,69 +383,13 @@ class AllocationService:
                 for status, count in sorted(self._campaign_counts().items())
             ],
         )
-        metrics.callback(
+        self.request_seconds = metrics.histogram(
             "repro_request_duration_seconds",
             "HTTP request latency, by endpoint route pattern.",
-            "histogram",
-            self.endpoint_latency.prometheus_samples,
+            ("endpoint",),
         )
-
-        def _store_append_samples():
-            if self.store is None:
-                return []
-            stats = self.store.stats.to_json_dict()
-            return [
-                ("", {"kind": kind}, count)
-                for kind, count in stats["appends"].items()
-            ]
-
-        def _store_lease_samples():
-            if self.store is None:
-                return []
-            leases = self.store.stats.to_json_dict()["leases"]
-            return [
-                ("", {"event": event}, count)
-                for event, count in sorted(leases.items())
-            ]
-
-        def _store_scalar(name):
-            def sample():
-                if self.store is None:
-                    return []
-                return [("", {}, self.store.stats.to_json_dict()[name])]
-
-            return sample
-
-        metrics.callback(
-            "repro_store_appends_total",
-            "Campaign journal records appended, by record kind.",
-            "counter",
-            _store_append_samples,
-        )
-        metrics.callback(
-            "repro_store_append_bytes_total",
-            "Campaign journal payload bytes appended.",
-            "counter",
-            _store_scalar("append_bytes"),
-        )
-        metrics.callback(
-            "repro_store_leases_total",
-            "Campaign job lease events (acquired, stolen, rejected).",
-            "counter",
-            _store_lease_samples,
-        )
-        metrics.callback(
-            "repro_store_jobs_recovered_total",
-            "Interrupted campaign jobs re-adopted from the journal.",
-            "counter",
-            _store_scalar("jobs_recovered"),
-        )
-        metrics.callback(
-            "repro_store_records_dropped_total",
-            "Torn journal records dropped during recovery.",
-            "counter",
-            _store_scalar("records_dropped"),
-        )
+        if self.store is not None:
+            self.store.register_metrics(metrics)
         self.slo.register_metrics(metrics)
 
     def close(self) -> None:
@@ -505,22 +401,22 @@ class AllocationService:
     async def allocate(self, request: AllocationRequest) -> AllocationResponse:
         """Serve one request: cache lookup, else coalesced batch solve.
 
-        Every path records into :attr:`latency` with an outcome label
-        (``solve`` / ``cache_hit`` / ``error``) so the aggregate block
-        reconciles with the per-endpoint histograms.
+        Every path records into :attr:`allocation_seconds` with an outcome
+        label (``solve`` / ``cache_hit`` / ``error``) so the aggregate
+        block reconciles with the per-endpoint histograms.
         """
         started = time.perf_counter()
         key = self.registry.cache_key_of(request)
         cached = self.cache.get(key)
         if cached is not None:
-            self.latency.record(time.perf_counter() - started, outcome="cache_hit")
+            self._observe_hit(time.perf_counter() - started)
             return cached.marked_cache_hit()
         try:
             response = await self.batcher.solve(request)
         except Exception:
-            self.latency.record(time.perf_counter() - started, outcome="error")
+            self._observe_error(time.perf_counter() - started)
             raise
-        self.latency.record(time.perf_counter() - started)
+        self._observe_solve(time.perf_counter() - started)
         self.cache.put(key, response)
         return response
 
@@ -528,19 +424,21 @@ class AllocationService:
         self, requests: Sequence[AllocationRequest]
     ) -> Tuple[AllocationResponse, ...]:
         """Serve a burst: cache hits answer immediately, misses go through
-        the batcher as one bulk unit (one future, one scatter)."""
+        the batcher as one bulk unit (one future, one scatter).
+
+        Every request is one allocation: a hit records its own lookup
+        time, each miss the burst's solve time.
+        """
         keys = [self.registry.cache_key_of(request) for request in requests]
         served: List[Optional[AllocationResponse]] = [None] * len(requests)
         misses: List[AllocationRequest] = []
         miss_indices: List[int] = []
-        started = time.perf_counter()
         for index, (request, key) in enumerate(zip(requests, keys)):
+            started = time.perf_counter()
             cached = self.cache.get(key)
             if cached is not None:
                 served[index] = cached.marked_cache_hit()
-                self.latency.record(
-                    time.perf_counter() - started, outcome="cache_hit"
-                )
+                self._observe_hit(time.perf_counter() - started)
             else:
                 misses.append(request)
                 miss_indices.append(index)
@@ -549,11 +447,9 @@ class AllocationService:
             try:
                 responses = await self.batcher.solve_bulk(misses)
             except Exception:
-                self.latency.record(
-                    time.perf_counter() - started, outcome="error"
-                )
+                self._observe_error(time.perf_counter() - started, len(misses))
                 raise
-            self.latency.record(time.perf_counter() - started)
+            self._observe_solve(time.perf_counter() - started, len(misses))
             for index, response in zip(miss_indices, responses):
                 self.cache.put(keys[index], response)
                 served[index] = response
@@ -770,7 +666,7 @@ class AllocationService:
             self.store.recover(job.campaign_id)
         except StoreError:
             pass  # the adoption stands; the timeline event is best-effort
-        self.store.stats.bump("jobs_recovered")
+        self.store.jobs_recovered.inc()
         return job
 
     async def recover_campaigns(self) -> List[str]:
@@ -878,9 +774,15 @@ class AllocationService:
         return job
 
     def _campaign_counts(self) -> Dict[str, int]:
-        """Retained campaign jobs by status."""
+        """Retained campaign jobs by status.
+
+        Runs on executor threads (the publisher beat, cluster reads)
+        while the event loop inserts and evicts jobs, so it counts over a
+        copy: ``list()`` of the view is one step the loop cannot
+        interleave with.
+        """
         by_status: Dict[str, int] = {}
-        for job in self._campaigns.values():
+        for job in list(self._campaigns.values()):
             by_status[job.status] = by_status.get(job.status, 0) + 1
         return by_status
 
@@ -891,7 +793,7 @@ class AllocationService:
         objective (if any), and the request counter -- called by the HTTP
         layer once per connection, after the response is written.
         """
-        self.endpoint_latency.observe(endpoint, seconds)
+        self.request_seconds.observe(seconds, endpoint=endpoint)
         self.slo.observe(endpoint, seconds)
         self._requests_total.inc(endpoint=endpoint, status=str(status))
 
@@ -909,17 +811,100 @@ class AllocationService:
         }
 
     def stats(self) -> Dict[str, Any]:
-        """Counters for the ``/stats`` endpoint."""
+        """The ``/stats`` document: one read over the metric families.
+
+        Counts are JSON integers (the families hold floats); latencies
+        and busy times are milliseconds.
+        """
+        cache, pool, store = self.cache, self.pool, self.store
+        hits = int(cache.lookups.value(result="hit"))
+        misses = int(cache.lookups.value(result="miss"))
+        batches, batched, largest = self.batcher.batch_size.totals()
+
+        def outcome_doc(outcome: str) -> Dict[str, Any]:
+            count, total_s, max_s = self.allocation_seconds.totals(
+                outcome=outcome
+            )
+            return {
+                "count": count,
+                "mean_ms": total_s / count * 1000.0 if count else 0.0,
+                "max_ms": max_s * 1000.0,
+            }
+
+        by_outcome = {
+            outcome: outcome_doc(outcome)
+            for (outcome,) in self.allocation_seconds.label_values()
+        }
+        solve = by_outcome.get("solve") or outcome_doc("solve")
+        per_worker = {}
+        for (worker,) in pool.task_seconds.label_values():
+            tasks, busy_s, _ = pool.task_seconds.totals(worker=worker)
+            per_worker[worker] = {
+                "tasks": tasks,
+                "requests": int(pool.task_requests.value(worker=worker)),
+                "busy_ms": busy_s * 1000.0,
+            }
         return {
-            "cache": self.cache.stats.to_json_dict(),
-            "batcher": self.batcher.stats.to_json_dict(),
-            "latency": self.latency.to_json_dict(),
-            "endpoints": self.endpoint_latency.to_json_dict(),
+            "cache": {
+                "entries": len(cache),
+                "max_entries": cache.max_entries,
+                "hits": hits,
+                "misses": misses,
+                "lookups": hits + misses,
+                "evictions": int(cache.evictions.value()),
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            },
+            "batcher": {
+                "requests": int(batched),
+                "batches": batches,
+                "largest_batch": int(largest),
+                "mean_batch_size": batched / batches if batches else 0.0,
+            },
+            "latency": {
+                "solves": solve["count"],
+                "mean_ms": solve["mean_ms"],
+                "max_ms": solve["max_ms"],
+                "by_outcome": by_outcome,
+            },
+            "endpoints": {
+                endpoint: self.request_seconds.summary(endpoint=endpoint)
+                for (endpoint,) in self.request_seconds.label_values()
+            },
             "engines": len(self.registry),
-            "pool": self.pool.stats(),
+            "pool": {
+                "workers": pool.workers,
+                "campaign_workers": pool.campaign_workers,
+                "tasks": sum(entry["tasks"] for entry in per_worker.values()),
+                "requests": sum(
+                    entry["requests"] for entry in per_worker.values()
+                ),
+                "busy_ms": sum(
+                    entry["busy_ms"] for entry in per_worker.values()
+                ),
+                "campaigns": int(pool.campaigns_run.value()),
+                "per_worker": per_worker,
+            },
             "campaigns": self._campaign_counts(),
             "slo": self.slo.to_json_dict(),
-            "store": None if self.store is None else self.store.to_json_dict(),
+            "store": None if store is None else {
+                "path": store.path,
+                "sync": store.sync,
+                "owner": store.owner,
+                "appends": {
+                    kind: int(store.appends.value(kind=kind))
+                    for (kind,) in store.appends.label_values()
+                },
+                "append_bytes": int(store.append_bytes.value()),
+                "records_dropped": int(store.records_dropped.value()),
+                "jobs_recovered": int(store.jobs_recovered.value()),
+                "results_reloaded": int(store.results_reloaded.value()),
+                "leases": {
+                    event: int(store.leases.value(event=event))
+                    for event in LEASE_EVENTS
+                },
+                "snapshots_published": int(store.snapshots_published.value()),
+                "spans_persisted": int(store.spans_persisted.value()),
+            },
             "uptime_s": time.monotonic() - self._started_monotonic,
         }
 

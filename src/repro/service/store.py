@@ -81,6 +81,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import tracing
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.service.requests import CampaignRequest
 
 #: Journal record kinds, in lifecycle order.  ``lease_acquire`` /
@@ -99,6 +100,10 @@ _EVENT_ONLY_KINDS = ("lease_acquire", "lease_steal", "recover")
 
 #: Non-terminal statuses a re-opened store offers for recovery.
 RESUMABLE_STATUSES = ("queued", "running")
+
+#: Outcomes of a lease claim, the ``event`` label of
+#: ``repro_store_leases_total``.
+LEASE_EVENTS = ("acquired", "stolen", "rejected")
 
 #: Default advisory-lease TTL; a backstop only -- dead owners are detected
 #: by pid liveness and expire immediately.
@@ -308,49 +313,6 @@ def _owner_alive(owner: str) -> bool:
     return True
 
 
-class StoreStats:
-    """Thread-safe operation counters (surfaced in ``/stats``, ``/metrics``)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.appends: Dict[str, int] = {}
-        self.append_bytes = 0
-        self.records_dropped = 0
-        self.jobs_recovered = 0
-        self.results_reloaded = 0
-        self.leases_acquired = 0
-        self.leases_stolen = 0
-        self.leases_rejected = 0
-        self.snapshots_published = 0
-        self.spans_persisted = 0
-
-    def record_append(self, kind: str, nbytes: int) -> None:
-        with self._lock:
-            self.appends[kind] = self.appends.get(kind, 0) + 1
-            self.append_bytes += nbytes
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "appends": dict(sorted(self.appends.items())),
-                "append_bytes": self.append_bytes,
-                "records_dropped": self.records_dropped,
-                "jobs_recovered": self.jobs_recovered,
-                "results_reloaded": self.results_reloaded,
-                "leases": {
-                    "acquired": self.leases_acquired,
-                    "stolen": self.leases_stolen,
-                    "rejected": self.leases_rejected,
-                },
-                "snapshots_published": self.snapshots_published,
-                "spans_persisted": self.spans_persisted,
-            }
-
-
 class CampaignStore:
     """Write-ahead campaign job store on one SQLite file (see module docs).
 
@@ -378,7 +340,42 @@ class CampaignStore:
         self.owner = owner if owner is not None else _default_owner()
         #: The journal's ``owner`` column / cluster identity: ``host:pid``.
         self.proc = ":".join(self.owner.split(":")[:2])
-        self.stats = StoreStats()
+        self.appends = Counter(
+            "repro_store_appends_total",
+            "Campaign journal records appended, by record kind.",
+            ("kind",),
+        )
+        self.append_bytes = Counter(
+            "repro_store_append_bytes_total",
+            "Campaign journal payload bytes appended.",
+        )
+        self.leases = Counter(
+            "repro_store_leases_total",
+            "Campaign job lease events (acquired, stolen, rejected).",
+            ("event",),
+        )
+        for event in LEASE_EVENTS:
+            self.leases.inc(0.0, event=event)
+        self.jobs_recovered = Counter(
+            "repro_store_jobs_recovered_total",
+            "Interrupted campaign jobs re-adopted from the journal.",
+        )
+        self.records_dropped = Counter(
+            "repro_store_records_dropped_total",
+            "Torn journal records dropped during recovery.",
+        )
+        self.results_reloaded = Counter(
+            "repro_store_results_reloaded_total",
+            "Finished campaign results reassembled from the journal.",
+        )
+        self.snapshots_published = Counter(
+            "repro_store_snapshots_published_total",
+            "Observability snapshots this process published.",
+        )
+        self.spans_persisted = Counter(
+            "repro_store_spans_persisted_total",
+            "Finished spans written to the store's span ring.",
+        )
         self._lock = threading.RLock()
         parent = Path(self.path).resolve().parent
         parent.mkdir(parents=True, exist_ok=True)
@@ -457,7 +454,7 @@ class CampaignStore:
                 "SELECT COUNT(*) FROM journal WHERE seq >= ?", (bad_seq,)
             ).fetchone()[0]
             self._db.execute("DELETE FROM journal WHERE seq >= ?", (bad_seq,))
-            self.stats.bump("records_dropped", int(dropped))
+            self.records_dropped.inc(int(dropped))
 
     # --- journal appends ----------------------------------------------------------
     def _append(self, job_id: str, kind: str, payload: bytes) -> int:
@@ -477,7 +474,7 @@ class CampaignStore:
             except sqlite3.DatabaseError as error:
                 raise StoreError(f"journal append failed: {error}") from error
             seq = int(cursor.lastrowid)
-        self.stats.record_append(kind, len(payload))
+        self._count_append(kind, len(payload))
         parent = tracing.current_context()
         if parent is not None:
             tracing.record_span(
@@ -490,6 +487,10 @@ class CampaignStore:
                 bytes=len(payload),
             )
         return seq
+
+    def _count_append(self, kind: str, nbytes: int) -> None:
+        self.appends.inc(kind=kind)
+        self.append_bytes.inc(nbytes)
 
     @staticmethod
     def _json_payload(payload: Dict[str, Any]) -> bytes:
@@ -540,7 +541,7 @@ class CampaignStore:
                     db.execute("COMMIT")
             except sqlite3.DatabaseError as error:
                 raise StoreError(f"submit append failed: {error}") from error
-        self.stats.record_append("submit", len(payload))
+        self._count_append("submit", len(payload))
         return job_id, True
 
     @staticmethod
@@ -765,7 +766,7 @@ class CampaignStore:
                 f"stored job {job_id!r} is missing cells {missing}; the "
                 "journal does not cover its grid"
             )
-        self.stats.bump("results_reloaded")
+        self.results_reloaded.inc()
         return FleetResult(
             scenario_labels=labels,
             grid=grid,  # type: ignore[arg-type]
@@ -817,7 +818,7 @@ class CampaignStore:
                         owner, expires_at = str(row[0]), float(row[1])
                         if owner != self.owner:
                             if expires_at > now and _owner_alive(owner):
-                                self.stats.bump("leases_rejected")
+                                self.leases.inc(event="rejected")
                                 return False
                             stolen = True
                             previous_owner = owner
@@ -831,7 +832,7 @@ class CampaignStore:
                     db.execute("COMMIT")
             except sqlite3.DatabaseError as error:
                 raise StoreError(f"lease acquire failed: {error}") from error
-        self.stats.bump("leases_stolen" if stolen else "leases_acquired")
+        self.leases.inc(event="stolen" if stolen else "acquired")
         # Journaled after the claim commits: the timeline records who won,
         # and a steal names the owner it displaced.
         if stolen:
@@ -988,7 +989,7 @@ class CampaignStore:
                 )
             except sqlite3.DatabaseError as error:
                 raise StoreError(f"snapshot publish failed: {error}") from error
-        self.stats.bump("snapshots_published")
+        self.snapshots_published.inc()
 
     def live_snapshots(
         self, ttl_s: float = DEFAULT_SNAPSHOT_TTL_S
@@ -1063,7 +1064,7 @@ class CampaignStore:
                 )
             except sqlite3.DatabaseError as error:
                 raise StoreError(f"span persist failed: {error}") from error
-        self.stats.bump("spans_persisted", len(rows))
+        self.spans_persisted.inc(len(rows))
         return len(rows)
 
     def trace_spans(self, trace_id: str) -> List[Dict[str, Any]]:
@@ -1085,16 +1086,20 @@ class CampaignStore:
                 continue  # one corrupt row must not hide the trace
         return sorted(spans, key=lambda span: span.get("start_s", 0.0))
 
-    # --- introspection ------------------------------------------------------------
-    def to_json_dict(self) -> Dict[str, Any]:
-        """Store block of the ``/stats`` payload."""
-        payload = {
-            "path": self.path,
-            "sync": self.sync,
-            "owner": self.owner,
-        }
-        payload.update(self.stats.to_json_dict())
-        return payload
+    # --- metrics ------------------------------------------------------------------
+    def register_metrics(self, registry: MetricsRegistry) -> None:
+        """Expose the store's counter families on a metrics registry."""
+        for family in (
+            self.appends,
+            self.append_bytes,
+            self.leases,
+            self.jobs_recovered,
+            self.records_dropped,
+            self.results_reloaded,
+            self.snapshots_published,
+            self.spans_persisted,
+        ):
+            registry.register(family)
 
 
 __all__ = [
@@ -1103,10 +1108,10 @@ __all__ = [
     "DEFAULT_SNAPSHOT_TTL_S",
     "DEFAULT_SPAN_RETENTION",
     "JobRecord",
+    "LEASE_EVENTS",
     "RECORD_KINDS",
     "RESUMABLE_STATUSES",
     "StoreError",
-    "StoreStats",
     "decode_cells",
     "encode_cells",
 ]

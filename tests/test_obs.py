@@ -14,6 +14,8 @@ from __future__ import annotations
 import io
 import json
 import logging
+import sys
+import threading
 
 import pytest
 
@@ -26,13 +28,13 @@ from repro.obs import tracing
 from repro.obs.metrics import (
     LOG2_BOUNDS_S,
     Counter,
+    Histogram,
     MetricsRegistry,
     format_labels,
     format_value,
 )
 from repro.obs.profiling import PhaseProfiler
 from repro.obs.slo import DEFAULT_SLO_MS, SloTracker, parse_slo_spec
-from repro.service.cache import EndpointLatencies, LatencyHistogram
 from repro.service.client import AllocationClient, ServiceError
 from repro.service.client import main as client_main
 from repro.service.requests import AllocationRequest, CampaignResponse
@@ -105,6 +107,60 @@ class TestExpositionFormat:
         with pytest.raises(ValueError, match="labels"):
             counter.inc(other="a")
 
+    def test_bound_record_calls_match_keyword_calls(self):
+        counter = Counter("c_total", "c", ("kind",))
+        count_a = counter.bind(kind="a")
+        count_a()
+        count_a(2.0)
+        counter.inc(kind="a")
+        assert counter.value(kind="a") == 4.0
+        histogram = Histogram("h", "h", ("outcome",), bounds=())
+        histogram.bind(outcome="solve")(0.5, 3)
+        histogram.observe(0.25, outcome="solve")
+        assert histogram.totals(outcome="solve") == (4, 1.75, 0.5)
+        with pytest.raises(ValueError, match="labels"):
+            counter.bind(other="a")
+        with pytest.raises(ValueError, match="go up"):
+            count_a(-1.0)
+
+    def test_concurrent_records_lose_no_update(self):
+        """Pool threads and the event loop record into shared families."""
+        counter = Counter("c_total", "c", ("worker",))
+        histogram = Histogram("h", "h", ("worker",), bounds=())
+        count_shared = counter.bind(worker="shared")
+
+        def record(name: str) -> None:
+            for _ in range(2_000):
+                count_shared()
+                counter.inc(worker=name)
+                histogram.observe(1.0, worker="shared")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=record, args=(f"w{index}",))
+                for index in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert counter.value(worker="shared") == 16_000
+        assert all(counter.value(worker=f"w{index}") == 2_000 for index in range(8))
+        assert histogram.totals(worker="shared") == (16_000, 16_000.0, 1.0)
+
+    def test_components_register_families_they_own(self):
+        registry = MetricsRegistry()
+        counter = registry.register(Counter("owned_total", "o"))
+        counter.inc()
+        assert "owned_total 1" in registry.render()
+        with pytest.raises(ValueError, match="already registered"):
+            registry.register(Counter("owned_total", "o"))
+
     def test_duplicate_family_rejected(self):
         registry = MetricsRegistry()
         registry.counter("dup_total", "d")
@@ -126,12 +182,16 @@ class TestExpositionFormat:
 
 
 class TestLatencyHistogramCompat:
+    """The log2 ``Histogram``'s read side: what ``/stats`` reports."""
+
     def test_empty_histogram_reports_zeros(self):
-        payload = LatencyHistogram().to_json_dict()
+        payload = Histogram("h_seconds", "h").summary()
         assert payload == {
             "count": 0, "mean_ms": 0.0, "max_ms": 0.0,
             "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0,
         }
+        labelled = Histogram("h_seconds", "h", ("endpoint",))
+        assert labelled.summary(endpoint="GET /stats") == payload
 
     @pytest.mark.parametrize(
         "milliseconds, p50_range",
@@ -144,10 +204,10 @@ class TestLatencyHistogramCompat:
         ids=["ten-samples", "overflow"],
     )
     def test_percentiles_are_ordered_and_bounded(self, milliseconds, p50_range):
-        histogram = LatencyHistogram()
+        histogram = Histogram("h_seconds", "h")
         for value in milliseconds:
-            histogram.record(value / 1000.0)
-        payload = histogram.to_json_dict()
+            histogram.observe(value / 1000.0)
+        payload = histogram.summary()
         assert payload["count"] == len(milliseconds)
         assert payload["p50_ms"] <= payload["p95_ms"] <= payload["p99_ms"]
         assert payload["p99_ms"] <= payload["max_ms"]
@@ -157,22 +217,27 @@ class TestLatencyHistogramCompat:
         assert low <= payload["p50_ms"] <= high
 
     def test_percentiles_and_snapshot(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram("h_seconds", "h")
         for seconds in (0.001, 0.002, 0.004, 0.100):
-            histogram.record(seconds)
-        payload = histogram.to_json_dict()
+            histogram.observe(seconds)
+        payload = histogram.summary()
         assert payload["count"] == 4
         assert payload["p50_ms"] <= payload["p99_ms"]
-        counts, count, total_s, max_s = histogram.snapshot()
+        count, total_s, max_s = histogram.totals()
         assert count == 4
-        assert sum(counts) == 4
         assert total_s == pytest.approx(0.107)
         assert max_s == pytest.approx(0.100)
+        buckets = [
+            value for suffix, labels, value in histogram.samples()
+            if suffix == "_bucket"
+        ]
+        assert buckets[-1] == 4  # the cumulative +Inf bucket
+        assert buckets == sorted(buckets)
 
     def test_endpoint_latencies_prometheus_samples(self):
-        endpoints = EndpointLatencies()
-        endpoints.observe("POST /allocate", 0.002)
-        samples = endpoints.prometheus_samples()
+        endpoints = Histogram("h_seconds", "h", ("endpoint",))
+        endpoints.observe(0.002, endpoint="POST /allocate")
+        samples = endpoints.samples()
         suffixes = {suffix for suffix, _, _ in samples}
         assert suffixes == {"_bucket", "_sum", "_count"}
         assert all(
@@ -183,13 +248,14 @@ class TestLatencyHistogramCompat:
         assert len(samples) == len(LOG2_BOUNDS_S) + 3
 
     def test_endpoint_latencies_group_by_label(self):
-        latencies = EndpointLatencies()
-        latencies.observe("GET /stats", 0.001)
-        latencies.observe("GET /stats", 0.002)
-        latencies.observe("POST /allocate", 0.004)
-        payload = latencies.to_json_dict()
-        assert sorted(payload) == ["GET /stats", "POST /allocate"]
-        assert payload["GET /stats"]["count"] == 2
+        latencies = Histogram("h_seconds", "h", ("endpoint",))
+        latencies.observe(0.001, endpoint="GET /stats")
+        latencies.observe(0.002, endpoint="GET /stats")
+        latencies.observe(0.004, endpoint="POST /allocate")
+        assert latencies.label_values() == [
+            ("GET /stats",), ("POST /allocate",)
+        ]
+        assert latencies.summary(endpoint="GET /stats")["count"] == 2
 
     def test_endpoint_label_collapses_campaign_ids(self):
         label = AllocationServer._endpoint_label

@@ -2,9 +2,9 @@
 
 Three layers of coverage:
 
-- pure-function algebra: counter/histogram merges are associative and
-  commutative, histogram quantiles return documented sentinels on empty
-  input, and a property test pins the merged-quantile bounds;
+- pure functions: histogram quantiles return documented sentinels on
+  empty input, a property test pins the pooled-quantile bounds, and the
+  cluster exposition keeps per-process series under ``proc`` labels;
 - store behaviour: snapshot TTL/dead-pid expiry, span ring persistence,
   and the per-job events timeline;
 - end-to-end subprocess tests in the :mod:`test_restart_resume` style:
@@ -33,10 +33,9 @@ from repro.obs.cluster import (
     build_snapshot,
     decode_snapshot,
     encode_snapshot,
-    merged_families,
     render_cluster,
 )
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import SloTracker, merged_burn_rates
 from repro.service.requests import CampaignRequest
 from repro.service.store import CampaignStore
@@ -44,55 +43,30 @@ from repro.service.store import CampaignStore
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-# --- histogram quantile sentinels and merge algebra -------------------------------
+# --- histogram quantile sentinels --------------------------------------------------
 class TestHistogramQuantiles:
     def test_empty_histogram_quantiles_are_zero(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram("h_seconds", "h")
         for fraction in (0.0, 0.5, 0.95, 0.99, 1.0):
             value = histogram.quantile(fraction)
             assert value == 0.0
             assert value == value  # never NaN
-        doc = histogram.to_json_dict()
+        doc = histogram.summary()
         assert doc["p50_ms"] == doc["p95_ms"] == doc["p99_ms"] == 0.0
 
     def test_single_observation_quantiles_are_the_observation(self):
-        histogram = LatencyHistogram()
-        histogram.record(0.004)
+        histogram = Histogram("h_seconds", "h")
+        histogram.observe(0.004)
         for fraction in (0.5, 0.95, 0.99):
             # Bucket estimate clamped to the max seen == the observation.
             assert histogram.quantile(fraction) == pytest.approx(0.004)
 
     def test_quantile_rejects_out_of_range_fractions(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram("h_seconds", "h")
         with pytest.raises(ValueError):
             histogram.quantile(-0.1)
         with pytest.raises(ValueError):
             histogram.quantile(1.5)
-
-    def test_merge_is_exact_on_bucket_counts(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        for seconds in (0.001, 0.002, 0.2):
-            a.record(seconds)
-        for seconds in (0.004, 5.0):
-            b.record(seconds)
-        a.merge(b)
-        counts, count, total_s, max_s = a.snapshot()
-        assert count == 5
-        assert sum(counts) == 5
-        assert total_s == pytest.approx(0.001 + 0.002 + 0.2 + 0.004 + 5.0)
-        assert max_s == pytest.approx(5.0)
-
-    def test_from_snapshot_roundtrip(self):
-        histogram = LatencyHistogram()
-        for seconds in (0.003, 0.05, 1.2):
-            histogram.record(seconds)
-        rebuilt = LatencyHistogram.from_snapshot(*histogram.snapshot())
-        assert rebuilt.snapshot() == histogram.snapshot()
-        assert rebuilt.quantile(0.5) == histogram.quantile(0.5)
-
-    def test_from_snapshot_rejects_wrong_bucket_count(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram.from_snapshot([0, 1], 1, 0.5, 0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -109,103 +83,27 @@ class TestHistogramQuantiles:
         fraction=st.floats(min_value=0.01, max_value=1.0),
     )
     def test_merged_quantiles_bounded_by_inputs(self, a, b, fraction):
-        """quantile(merge(A, B)) is bounded by min/max of the raw inputs.
+        """quantile(A + B) is bounded by min/max of the raw inputs.
 
         The estimator reports bucket upper bounds clamped to the largest
-        sample seen, so every quantile of the merged histogram sits at or
+        sample seen, so every quantile of the pooled label set sits at or
         above the smallest recorded sample and at or below the largest --
         never NaN, never outside the observed range.  (Positive fractions
         only: quantile(0) is the degenerate "0 of N samples" rank.)
         """
-        ha, hb, merged = (
-            LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
-        )
-        for seconds in a:
-            ha.record(seconds)
-            merged.record(seconds)
-        for seconds in b:
-            hb.record(seconds)
-            merged.record(seconds)
-        qm = merged.quantile(fraction)
+        histogram = Histogram("h_seconds", "h", ("part",))
+        for part, values in (("a", a), ("b", b)):
+            for seconds in values:
+                histogram.observe(seconds, part=part)
+                histogram.observe(seconds, part="both")
+        qm = histogram.quantile(fraction, part="both")
         assert min(a + b) <= qm <= max(a + b)
-        # Merging is exact: merge() agrees with recording the union
-        # directly, and the merged quantile never undercuts the pointwise
-        # smaller input quantile (the mixture CDF is between the two).
-        assert qm >= min(ha.quantile(fraction), hb.quantile(fraction))
-        ha.merge(hb)
-        assert ha.quantile(fraction) == qm
-
-
-# --- snapshot family merges --------------------------------------------------------
-def _snapshot_with(counter_by, latencies):
-    """A registry snapshot with one counter family and one histogram."""
-    registry = MetricsRegistry()
-    counter = registry.counter("repro_requests_total", "requests", ("endpoint",))
-    for endpoint, count in counter_by.items():
-        for _ in range(count):
-            counter.inc(endpoint=endpoint)
-    histogram = registry.histogram("repro_phase_seconds", "phases", ("phase",))
-    for seconds in latencies:
-        histogram.observe(seconds, phase="solve")
-    return {"families": registry.snapshot()}
-
-
-def _counter_value(families, name, **labels):
-    total = 0.0
-    for suffix, sample_labels, value in families[name]["samples"]:
-        if suffix == "" and all(
-            sample_labels.get(k) == v for k, v in labels.items()
-        ):
-            total += value
-    return total
-
-
-class TestMergedFamilies:
-    def test_counters_sum_exactly(self):
-        a = _snapshot_with({"GET /stats": 3}, [0.001])
-        b = _snapshot_with({"GET /stats": 4, "POST /allocate": 2}, [0.002])
-        merged = merged_families([a, b])
-        assert _counter_value(
-            merged, "repro_requests_total", endpoint="GET /stats"
-        ) == 7.0
-        assert _counter_value(
-            merged, "repro_requests_total", endpoint="POST /allocate"
-        ) == 2.0
-
-    def test_merge_is_commutative_and_associative(self):
-        a = _snapshot_with({"x": 1}, [0.001, 0.004])
-        b = _snapshot_with({"x": 2, "y": 5}, [0.016])
-        c = _snapshot_with({"y": 1}, [0.001, 2.0])
-        ab_c = merged_families([*(a, b), c])
-        a_bc = merged_families([a, *(b, c)])
-        cba = merged_families([c, b, a])
-        assert ab_c == a_bc == cba
-        # Folding a pre-merged pair in again is the same as a flat merge:
-        # merged snapshots are themselves valid snapshot families.
-        refolded = merged_families([{"families": merged_families([a, b])}, c])
-        assert refolded == ab_c
-
-    def test_gauges_are_not_summed(self):
-        registry = MetricsRegistry()
-        registry.gauge("repro_entries", "entries").set(3)
-        snapshot = {"families": registry.snapshot()}
-        merged = merged_families([snapshot, snapshot])
-        assert "repro_entries" not in merged
-
-    def test_histogram_buckets_sum_elementwise(self):
-        a = _snapshot_with({}, [0.001, 0.001, 0.5])
-        b = _snapshot_with({}, [0.001])
-        merged = merged_families([a, b])
-        samples = merged["repro_phase_seconds"]["samples"]
-        counts = {
-            labels["le"]: value
-            for suffix, labels, value in samples
-            if suffix == "_bucket"
-        }
-        assert counts["+Inf"] == 4.0
-        assert [v for s, _l, v in samples if s == "_count"] == [4.0]
-        [total_s] = [v for s, _l, v in samples if s == "_sum"]
-        assert total_s == pytest.approx(0.001 * 3 + 0.5)
+        # The pooled quantile never undercuts the pointwise smaller input
+        # quantile (the mixture CDF is between the two).
+        assert qm >= min(
+            histogram.quantile(fraction, part="a"),
+            histogram.quantile(fraction, part="b"),
+        )
 
 
 class TestRenderCluster:

@@ -28,7 +28,8 @@ from repro.core.design_point import DesignPoint
 from repro.data.table2 import table2_design_points
 from repro.service import batcher as batcher_module
 from repro.service.batcher import EngineRegistry, MicroBatcher, solve_batch
-from repro.service.cache import AllocationCache, LatencyRecorder
+from repro.obs.metrics import MetricsRegistry
+from repro.service.cache import AllocationCache
 from repro.service.client import AllocationClient, ServiceError
 from repro.service.client import main as client_main
 from repro.service.requests import (
@@ -128,17 +129,22 @@ class TestAllocationCache:
         assert cache.get("b") is None
         assert cache.get("a") == "A"
         assert cache.get("c") == "C"
-        assert cache.stats.evictions == 1
+        assert cache.evictions.value() == 1
 
     def test_counters(self):
         cache: AllocationCache[int] = AllocationCache(max_entries=8)
         assert cache.get("missing") is None
         cache.put("k", 1)
         assert cache.get("k") == 1
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.lookups) == (1, 1, 2)
-        assert stats.hit_rate == 0.5
-        assert stats.to_json_dict()["lookups"] == 2
+        assert cache.lookups.value(result="hit") == 1
+        assert cache.lookups.value(result="miss") == 1
+        registry = MetricsRegistry()
+        cache.register_metrics(registry)
+        text = registry.render()
+        assert 'repro_cache_lookups_total{result="hit"} 1' in text
+        assert 'repro_cache_lookups_total{result="miss"} 1' in text
+        assert "repro_cache_evictions_total 0" in text
+        assert "repro_cache_entries 1" in text
 
     def test_zero_capacity_disables_caching(self):
         cache: AllocationCache[int] = AllocationCache(max_entries=0)
@@ -147,13 +153,17 @@ class TestAllocationCache:
         assert len(cache) == 0
 
     def test_latency_recorder(self):
-        recorder = LatencyRecorder()
-        recorder.record(0.002)
-        recorder.record(0.004)
-        snapshot = recorder.to_json_dict()
+        service = AllocationService()
+        try:
+            service.allocation_seconds.observe(0.002, outcome="solve")
+            service.allocation_seconds.observe(0.004, outcome="solve")
+            snapshot = service.stats()["latency"]
+        finally:
+            service.close()
         assert snapshot["solves"] == 2
         assert snapshot["mean_ms"] == pytest.approx(3.0)
         assert snapshot["max_ms"] == pytest.approx(4.0)
+        assert snapshot["by_outcome"]["solve"]["count"] == 2
 
 
 class TestSolveBatch:
@@ -228,11 +238,11 @@ class TestMicroBatcher:
                 AllocationRequest(float(b)) for b in np.linspace(0.2, 9.9, 32)
             ]
             responses = await batcher.solve_many(requests)
-            return responses, batcher.stats
+            return responses, batcher.batch_size.totals()
 
-        responses, stats = asyncio.run(scenario())
-        assert stats.batches == 1
-        assert stats.largest_batch == 32
+        responses, (batches, _, largest) = asyncio.run(scenario())
+        assert batches == 1
+        assert largest == 32
         assert all(response.batch_size == 32 for response in responses)
         reference = scalar_solve(AllocationRequest(float(responses[5].energy_budget_j)), points)
         assert responses[5].objective == pytest.approx(reference.objective, abs=1e-9)
@@ -241,10 +251,10 @@ class TestMicroBatcher:
         async def scenario():
             batcher = MicroBatcher(EngineRegistry(points), window_s=0.001)
             response = await batcher.solve(AllocationRequest(5.0))
-            return response, batcher.stats
+            return response, batcher.batch_size.count()
 
-        response, stats = asyncio.run(scenario())
-        assert stats.batches == 1
+        response, batches = asyncio.run(scenario())
+        assert batches == 1
         assert response.batch_size == 1
         reference = scalar_solve(AllocationRequest(5.0), points)
         assert response.objective == pytest.approx(reference.objective, abs=1e-9)
@@ -258,13 +268,13 @@ class TestMicroBatcher:
                 AllocationRequest(float(b)) for b in np.linspace(0.2, 9.9, 20)
             ]
             responses = await batcher.solve_bulk(requests)
-            return responses, batcher.stats
+            return responses, batcher.batch_size.totals()
 
-        responses, stats = asyncio.run(scenario())
+        responses, (batches, requests, largest) = asyncio.run(scenario())
         assert len(responses) == 20
-        assert stats.batches == 3            # 8 + 8 + 4
-        assert stats.largest_batch == 8
-        assert stats.requests == 20
+        assert batches == 3            # 8 + 8 + 4
+        assert largest == 8
+        assert requests == 20
         for response in responses:
             reference = scalar_solve(
                 AllocationRequest(response.energy_budget_j), points
@@ -279,11 +289,11 @@ class TestMicroBatcher:
             batcher.flush()
             assert batcher.num_pending == 0
             assert await batcher.solve_bulk([]) == []
-            return batcher.stats
+            return batcher.batch_size.totals()
 
-        stats = asyncio.run(scenario())
-        assert stats.batches == 0
-        assert stats.requests == 0
+        batches, requests, _ = asyncio.run(scenario())
+        assert batches == 0
+        assert requests == 0
 
     def test_invalid_request_propagates_to_waiters(self, points):
         async def scenario():

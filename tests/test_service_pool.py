@@ -2,8 +2,8 @@
 
 Covers correctness of fanned solves (group slicing, batch_size reporting,
 scalar agreement), async dispatch through the micro-batcher, per-worker
-stats merging, shutdown semantics (pending futures cancelled, workers
-joined, stats consistent after the drain) and campaign execution on the
+counters, shutdown semantics (pending futures cancelled, workers
+joined, counters consistent after the drain) and campaign execution on the
 pool's persistent process executor.
 """
 
@@ -35,6 +35,14 @@ def scalar_solve(request: AllocationRequest, points):
     return ReapAllocator().solve(request.resolve(points).to_problem())
 
 
+def pool_totals(pool: WorkerPool):
+    """(tasks, requests) the pool's families hold, summed over workers."""
+    workers = [worker for (worker,) in pool.task_seconds.label_values()]
+    tasks = sum(pool.task_seconds.count(worker=worker) for worker in workers)
+    requests = sum(pool.task_requests.value(worker=worker) for worker in workers)
+    return tasks, requests
+
+
 class TestWorkerPoolSolving:
     def test_matches_scalar_allocator_across_slices(self, points):
         with WorkerPool(workers=2, registry=EngineRegistry(points)) as pool:
@@ -59,16 +67,15 @@ class TestWorkerPoolSolving:
                 AllocationRequest(float(b)) for b in np.linspace(0.2, 9.9, 64)
             ]
             responses = pool.solve_batch(requests)
-            stats = pool.stats()
+            totals = pool_totals(pool)
         assert all(response.batch_size == 64 for response in responses)
-        assert stats["tasks"] == 2
-        assert stats["requests"] == 64
+        assert totals == (2, 64)
 
     def test_small_groups_stay_whole(self, points):
         with WorkerPool(workers=4, registry=EngineRegistry(points)) as pool:
             requests = [AllocationRequest(float(b)) for b in (1.0, 2.0, 3.0)]
             pool.solve_batch(requests)
-            assert pool.stats()["tasks"] == 1
+            assert pool_totals(pool)[0] == 1
 
     def test_single_worker_solves_inline(self, points):
         pool = WorkerPool(workers=1, registry=EngineRegistry(points))
@@ -76,8 +83,9 @@ class TestWorkerPoolSolving:
         responses = pool.solve_batch(requests)
         assert [r.batch_size for r in responses] == [40] * 40
         # Inline solves are recorded against the calling thread.
-        stats = pool.stats()
-        assert list(stats["per_worker"]) == [threading.current_thread().name]
+        assert pool.task_seconds.label_values() == [
+            (threading.current_thread().name,)
+        ]
         pool.shutdown()
 
     def test_async_variant_matches_sync(self, points):
@@ -126,6 +134,18 @@ class TestWorkerPoolShutdown:
             return real_solve_group(engine, requests, batch_size)
 
         monkeypatch.setattr(pool_module, "solve_group", slow_solve_group)
+        # The caller submits the four tasks one by one: shut down only
+        # after the last submit, or a late one raises instead of leaving
+        # a task to cancel.
+        submitted = threading.Semaphore(0)
+        real_submit = pool._executor.submit
+
+        def counting_submit(*args, **kwargs):
+            future = real_submit(*args, **kwargs)
+            submitted.release()
+            return future
+
+        monkeypatch.setattr(pool._executor, "submit", counting_submit)
         requests = [
             AllocationRequest(5.0, period_s=period)
             for period in (3600.0, 1800.0, 900.0, 450.0)
@@ -143,6 +163,8 @@ class TestWorkerPoolShutdown:
         # Both workers busy; the remaining two tasks are queued.
         assert running.acquire(timeout=10.0)
         assert running.acquire(timeout=10.0)
+        for _ in requests:
+            assert submitted.acquire(timeout=10.0)
         pool.shutdown(wait=False, cancel_pending=True)
         release.set()
         caller.join(timeout=10.0)
@@ -158,9 +180,7 @@ class TestWorkerPoolShutdown:
         )
         # Stats consistent after the drain: exactly the two completed
         # tasks were recorded, nothing for the cancelled pair.
-        stats = pool.stats()
-        assert stats["tasks"] == 2
-        assert stats["requests"] == 2
+        assert pool_totals(pool) == (2, 2)
         assert pool.closed
 
     def test_submitting_after_shutdown_raises(self, points):
@@ -192,7 +212,7 @@ class TestWorkerPoolCampaigns:
             second = pool.run_campaign(
                 scenarios, policies, trace, config, scenario_labels=labels
             )
-            assert pool.stats()["campaigns"] == 2
+            assert pool.campaigns_run.value() == 2
         for result in (first, second):
             for scenario_index, policy_index, cell in result:
                 reference = local.result(policy_index, scenario_index)
@@ -247,10 +267,10 @@ class TestServiceWithPool:
                     for b in np.linspace(0.2, 9.9, 32)
                 ]
                 responses = await batcher.solve_many(requests)
-                return responses, batcher.stats
+                return responses, batcher.batch_size.count()
 
-        responses, stats = asyncio.run(scenario())
-        assert stats.batches == 1
+        responses, batches = asyncio.run(scenario())
+        assert batches == 1
         assert all(response.batch_size == 32 for response in responses)
 
     def test_pooled_batcher_propagates_errors(self, points):

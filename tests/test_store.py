@@ -178,7 +178,7 @@ class TestIdempotency:
             assert (created_first, created_second) == (True, False)
             assert first == second
             # the replay journaled nothing: one submit record only
-            assert store.stats.appends["submit"] == 1
+            assert store.appends.value(kind="submit") == 1
 
     def test_key_survives_reopen(self, store_path):
         with CampaignStore(store_path) as store:
@@ -206,7 +206,7 @@ class TestLeases:
             assert mine.acquire_lease(job_id)
             assert mine.acquire_lease(job_id)  # re-entrant for the owner
             assert not other.acquire_lease(job_id)
-            assert other.stats.leases_rejected == 1
+            assert other.leases.value(event="rejected") == 1
             assert not other.lease_abandoned(job_id)
             assert mine.renew_lease(job_id)
             assert not other.renew_lease(job_id)
@@ -225,7 +225,7 @@ class TestLeases:
             # TTL far from expiry, but the pid does not exist on this host.
             assert living.lease_abandoned(job_id)
             assert living.acquire_lease(job_id)
-            assert living.stats.leases_stolen == 1
+            assert living.leases.value(event="stolen") == 1
             holder, _expires = living.lease_holder(job_id)
             assert holder == living.owner
         finally:
@@ -291,7 +291,7 @@ class TestCorruption:
             store.finish(job_id, fleet_result)
         self._tamper(store_path, "MAX")  # the finish record is torn
         with CampaignStore(store_path) as reopened:
-            assert reopened.stats.records_dropped == 1
+            assert reopened.records_dropped.value() == 1
             record = reopened.job(job_id)
             # The prefix stays authoritative: job reverts to running with
             # its journaled shards intact -- exactly what resume needs.
@@ -308,7 +308,7 @@ class TestCorruption:
         with CampaignStore(store_path) as reopened:
             # Everything from the first bad record onward is gone; a
             # half-written history never resurrects acknowledgements.
-            assert reopened.stats.records_dropped == 4
+            assert reopened.records_dropped.value() == 4
             assert reopened.job(job_id) is None
 
     def test_malformed_shard_of_one_job_spares_the_others(
@@ -332,7 +332,7 @@ class TestCorruption:
         finally:
             connection.close()
         with CampaignStore(store_path) as reopened:
-            assert reopened.stats.records_dropped == 0
+            assert reopened.records_dropped.value() == 0
             assert reopened.job(healthy).status == "running"
             with pytest.raises(StoreError, match="malformed"):
                 reopened.job(broken)
