@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -262,6 +262,20 @@ class MicroBatcher:
         # are not garbage-collected mid-dispatch.
         self._inflight: Set["asyncio.Task"] = set()
 
+    def totals(self) -> Dict[str, Any]:
+        """``{requests, batches, largest_batch, mean_batch_size}`` so far.
+
+        ``/stats`` and the ``repro_batcher_{requests,batches}_total``
+        families both read this one derivation.
+        """
+        batches, requests, largest = self.batch_size.totals()
+        return {
+            "requests": int(requests),
+            "batches": batches,
+            "largest_batch": int(largest),
+            "mean_batch_size": requests / batches if batches else 0.0,
+        }
+
     def register_metrics(self, registry: MetricsRegistry) -> None:
         """Expose the batcher's families on a metrics registry."""
         registry.register(self.batch_size)
@@ -269,13 +283,13 @@ class MicroBatcher:
             "repro_batcher_requests_total",
             "Allocation requests that reached the micro-batcher.",
             "counter",
-            lambda: [("", {}, self.batch_size.totals()[1])],
+            lambda: [("", {}, self.totals()["requests"])],
         )
         registry.callback(
             "repro_batcher_batches_total",
             "Vectorized solve batches flushed by the micro-batcher.",
             "counter",
-            lambda: [("", {}, self.batch_size.count())],
+            lambda: [("", {}, self.totals()["batches"])],
         )
 
     @property

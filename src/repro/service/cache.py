@@ -42,10 +42,8 @@ class AllocationCache(Generic[Value]):
             "Allocation cache lookups, by result.",
             ("result",),
         )
-        self._count_hit = self.lookups.bind(result="hit")
-        self._count_miss = self.lookups.bind(result="miss")
-        self._count_hit(0.0)  # both series exist from the start
-        self._count_miss(0.0)
+        self.lookups.inc(0.0, result="hit")  # both series exist from the start
+        self.lookups.inc(0.0, result="miss")
         self.evictions = Counter(
             "repro_cache_evictions_total", "Allocation cache LRU evictions."
         )
@@ -59,10 +57,7 @@ class AllocationCache(Generic[Value]):
             value = self._entries.get(key)
             if value is not None:
                 self._entries.move_to_end(key)
-        if value is None:
-            self._count_miss()
-        else:
-            self._count_hit()
+        self.lookups.inc(result="miss" if value is None else "hit")
         return value
 
     def put(self, key: Hashable, value: Value) -> None:

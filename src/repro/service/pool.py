@@ -28,7 +28,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs import tracing
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
@@ -346,32 +346,45 @@ class WorkerPool:
         return result
 
     # --- metrics ----------------------------------------------------------------
+    def usage(self) -> Dict[str, Any]:
+        """Solve work so far: ``{tasks, requests, busy_ms, per_worker}``.
+
+        ``per_worker`` maps each engine worker thread to its own
+        ``{tasks, requests, busy_ms}``; the top-level fields are their
+        sums.  ``/stats`` and the ``repro_pool_{tasks,busy_seconds}_total``
+        families both read this one derivation.
+        """
+        per_worker = {}
+        for (worker,) in self.task_seconds.label_values():
+            tasks, busy_s, _ = self.task_seconds.totals(worker=worker)
+            per_worker[worker] = {
+                "tasks": tasks,
+                "requests": int(self.task_requests.value(worker=worker)),
+                "busy_ms": busy_s * 1000.0,
+            }
+        return {
+            "tasks": sum(doc["tasks"] for doc in per_worker.values()),
+            "requests": sum(doc["requests"] for doc in per_worker.values()),
+            "busy_ms": sum(doc["busy_ms"] for doc in per_worker.values()),
+            "per_worker": per_worker,
+        }
+
     def register_metrics(self, registry: MetricsRegistry) -> None:
         """Expose the pool's families on a metrics registry."""
         registry.register(self.task_seconds)
         registry.register(self.task_requests)
         registry.register(self.campaigns_run)
-
-        def over_workers(field: int):
-            def sample():
-                return [("", {}, sum(
-                    self.task_seconds.totals(worker=worker)[field]
-                    for (worker,) in self.task_seconds.label_values()
-                ))]
-
-            return sample
-
         registry.callback(
             "repro_pool_tasks_total",
             "Solve tasks completed by the engine worker pool.",
             "counter",
-            over_workers(0),
+            lambda: [("", {}, self.usage()["tasks"])],
         )
         registry.callback(
             "repro_pool_busy_seconds_total",
             "Cumulative busy time across engine workers.",
             "counter",
-            over_workers(1),
+            lambda: [("", {}, self.usage()["busy_ms"] / 1000.0)],
         )
         registry.callback(
             "repro_pool_workers",

@@ -353,10 +353,6 @@ class AllocationService:
             ("outcome",),
             bounds=(),
         ))
-        self._observe_hit, self._observe_solve, self._observe_error = (
-            self.allocation_seconds.bind(outcome=outcome)
-            for outcome in ("cache_hit", "solve", "error")
-        )
         metrics.callback(
             "repro_allocations_total",
             "Allocation calls, by outcome (solve, cache_hit, error).",
@@ -409,14 +405,20 @@ class AllocationService:
         key = self.registry.cache_key_of(request)
         cached = self.cache.get(key)
         if cached is not None:
-            self._observe_hit(time.perf_counter() - started)
+            self.allocation_seconds.observe(
+                time.perf_counter() - started, outcome="cache_hit"
+            )
             return cached.marked_cache_hit()
         try:
             response = await self.batcher.solve(request)
         except Exception:
-            self._observe_error(time.perf_counter() - started)
+            self.allocation_seconds.observe(
+                time.perf_counter() - started, outcome="error"
+            )
             raise
-        self._observe_solve(time.perf_counter() - started)
+        self.allocation_seconds.observe(
+            time.perf_counter() - started, outcome="solve"
+        )
         self.cache.put(key, response)
         return response
 
@@ -438,7 +440,9 @@ class AllocationService:
             cached = self.cache.get(key)
             if cached is not None:
                 served[index] = cached.marked_cache_hit()
-                self._observe_hit(time.perf_counter() - started)
+                self.allocation_seconds.observe(
+                    time.perf_counter() - started, outcome="cache_hit"
+                )
             else:
                 misses.append(request)
                 miss_indices.append(index)
@@ -447,9 +451,17 @@ class AllocationService:
             try:
                 responses = await self.batcher.solve_bulk(misses)
             except Exception:
-                self._observe_error(time.perf_counter() - started, len(misses))
+                self.allocation_seconds.observe(
+                    time.perf_counter() - started,
+                    times=len(misses),
+                    outcome="error",
+                )
                 raise
-            self._observe_solve(time.perf_counter() - started, len(misses))
+            self.allocation_seconds.observe(
+                time.perf_counter() - started,
+                times=len(misses),
+                outcome="solve",
+            )
             for index, response in zip(miss_indices, responses):
                 self.cache.put(keys[index], response)
                 served[index] = response
@@ -819,7 +831,6 @@ class AllocationService:
         cache, pool, store = self.cache, self.pool, self.store
         hits = int(cache.lookups.value(result="hit"))
         misses = int(cache.lookups.value(result="miss"))
-        batches, batched, largest = self.batcher.batch_size.totals()
 
         def outcome_doc(outcome: str) -> Dict[str, Any]:
             count, total_s, max_s = self.allocation_seconds.totals(
@@ -836,14 +847,7 @@ class AllocationService:
             for (outcome,) in self.allocation_seconds.label_values()
         }
         solve = by_outcome.get("solve") or outcome_doc("solve")
-        per_worker = {}
-        for (worker,) in pool.task_seconds.label_values():
-            tasks, busy_s, _ = pool.task_seconds.totals(worker=worker)
-            per_worker[worker] = {
-                "tasks": tasks,
-                "requests": int(pool.task_requests.value(worker=worker)),
-                "busy_ms": busy_s * 1000.0,
-            }
+        usage = pool.usage()
         return {
             "cache": {
                 "entries": len(cache),
@@ -854,12 +858,7 @@ class AllocationService:
                 "evictions": int(cache.evictions.value()),
                 "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             },
-            "batcher": {
-                "requests": int(batched),
-                "batches": batches,
-                "largest_batch": int(largest),
-                "mean_batch_size": batched / batches if batches else 0.0,
-            },
+            "batcher": self.batcher.totals(),
             "latency": {
                 "solves": solve["count"],
                 "mean_ms": solve["mean_ms"],
@@ -874,15 +873,11 @@ class AllocationService:
             "pool": {
                 "workers": pool.workers,
                 "campaign_workers": pool.campaign_workers,
-                "tasks": sum(entry["tasks"] for entry in per_worker.values()),
-                "requests": sum(
-                    entry["requests"] for entry in per_worker.values()
-                ),
-                "busy_ms": sum(
-                    entry["busy_ms"] for entry in per_worker.values()
-                ),
+                "tasks": usage["tasks"],
+                "requests": usage["requests"],
+                "busy_ms": usage["busy_ms"],
                 "campaigns": int(pool.campaigns_run.value()),
-                "per_worker": per_worker,
+                "per_worker": usage["per_worker"],
             },
             "campaigns": self._campaign_counts(),
             "slo": self.slo.to_json_dict(),

@@ -107,31 +107,22 @@ class TestExpositionFormat:
         with pytest.raises(ValueError, match="labels"):
             counter.inc(other="a")
 
-    def test_bound_record_calls_match_keyword_calls(self):
-        counter = Counter("c_total", "c", ("kind",))
-        count_a = counter.bind(kind="a")
-        count_a()
-        count_a(2.0)
-        counter.inc(kind="a")
-        assert counter.value(kind="a") == 4.0
-        histogram = Histogram("h", "h", ("outcome",), bounds=())
-        histogram.bind(outcome="solve")(0.5, 3)
+    def test_histogram_observes_repeated_values_at_once(self):
+        histogram = Histogram("h", "h", ("outcome",), bounds=(0.3,))
+        histogram.observe(0.5, times=3, outcome="solve")
         histogram.observe(0.25, outcome="solve")
         assert histogram.totals(outcome="solve") == (4, 1.75, 0.5)
-        with pytest.raises(ValueError, match="labels"):
-            counter.bind(other="a")
-        with pytest.raises(ValueError, match="go up"):
-            count_a(-1.0)
+        assert histogram.quantile(0.25, outcome="solve") == 0.3
+        assert histogram.quantile(0.5, outcome="solve") == 0.5
 
     def test_concurrent_records_lose_no_update(self):
         """Pool threads and the event loop record into shared families."""
         counter = Counter("c_total", "c", ("worker",))
         histogram = Histogram("h", "h", ("worker",), bounds=())
-        count_shared = counter.bind(worker="shared")
 
         def record(name: str) -> None:
             for _ in range(2_000):
-                count_shared()
+                counter.inc(worker="shared")
                 counter.inc(worker=name)
                 histogram.observe(1.0, worker="shared")
 

@@ -145,6 +145,19 @@ class TestAllocationCache:
         assert 'repro_cache_lookups_total{result="miss"} 1' in text
         assert "repro_cache_evictions_total 0" in text
         assert "repro_cache_entries 1" in text
+        # /stats derives lookups and hit rate from the same two series.
+        service = AllocationService()
+        try:
+            before = service.stats()["cache"]
+            assert service.cache.get("missing") is None
+            service.cache.put("k", 1)
+            assert service.cache.get("k") == 1
+            after = service.stats()["cache"]
+        finally:
+            service.close()
+        assert (before["lookups"], before["hit_rate"]) == (0, 0.0)
+        assert (after["hits"], after["misses"], after["lookups"]) == (1, 1, 2)
+        assert after["hit_rate"] == 0.5
 
     def test_zero_capacity_disables_caching(self):
         cache: AllocationCache[int] = AllocationCache(max_entries=0)

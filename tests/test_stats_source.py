@@ -299,6 +299,8 @@ class TestOneStatsSource:
         stats, _, _ = observed
         # Both repeat lookups of 5.0 hit; 1 + 40 misses are solved.
         assert stats["cache"]["hits"] == 2
+        assert stats["cache"]["lookups"] == 43
+        assert stats["cache"]["hit_rate"] == 2 / 43
         assert stats["latency"]["by_outcome"]["cache_hit"]["count"] == 2
         assert stats["latency"]["solves"] == 41
         assert stats["batcher"]["requests"] == 41
