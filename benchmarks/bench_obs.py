@@ -3,11 +3,11 @@
 The cluster scope (``GET /v1/metrics?scope=cluster``) is fed by a
 per-process publisher: every beat builds a full registry/SLO/stats
 snapshot, upserts it into the shared SQLite store, and drains finished
-spans; a cluster scrape then reads every live snapshot back and renders
-the merged exposition.  The design claim is that none of this touches
-the request hot path -- publication and merging cost **less than ~5% of
-allocate-burst throughput** even when hammered far above the production
-cadence.
+spans; a cluster scrape then builds this process's snapshot in memory,
+reads the other live snapshots back and renders the merged exposition.
+The design claim is that none of this touches the request hot path --
+publication and merging cost **less than ~5% of allocate-burst
+throughput** even when hammered far above the production cadence.
 
 The measurement runs identical allocate bursts (cache-missing requests
 through the micro-batcher) against fresh store-backed services in
@@ -85,8 +85,9 @@ def _run_bursts(service: AllocationService, rounds: int) -> float:
 def _timed_run(tmp_path, label: str, rounds: int, with_obs: bool):
     """One fresh store-backed service, one timed run.
 
-    Returns (seconds, snapshots published): each beat publishes twice,
-    once itself and once inside the cluster scrape.
+    Returns (seconds, snapshots published): each beat publishes once; its
+    cluster scrape builds this process's snapshot in memory and writes
+    nothing.
     """
     service = AllocationService(
         store=str(tmp_path / f"obs-{label}.db"), slo_ms={"allocate": 25.0}

@@ -5,9 +5,8 @@ Serving allocations
 The paper frames REAP as a runtime service devices consult for their next
 energy-optimal hour; :mod:`repro.service` is that service.  This demo boots
 the stdlib JSON-over-HTTP server on an ephemeral port (the same thing
-``python -m repro serve`` runs -- pass ``--workers N`` here or on the CLI
-to fan batched solves across a pool of engine workers), then plays a
-device fleet against it:
+``python -m repro serve`` runs; batched solves run inline on its event
+loop), then plays a device fleet against it:
 
 1. a **burst** of concurrent allocation requests with distinct budgets --
    the micro-batcher coalesces them into a handful of vectorized
@@ -17,8 +16,8 @@ device fleet against it:
    straight from the LRU result cache (the canonical problem encoding is
    permutation-invariant, so equivalent requests share entries);
 3. a ``GET /stats`` call showing the cache hit rate, how many batches the
-   coalescer dispatched, per-worker pool counters, and the solve latency
-   profile.
+   coalescer dispatched and how long the event loop spent solving them,
+   and the solve latency profile.
 
 Remote campaigns
 ----------------
@@ -30,7 +29,7 @@ chunked NDJSON (``GET /campaign/<id>/columns``), and rebuilds the
 local :class:`~repro.simulation.fleet.FleetCampaign` run to 1e-9.  The
 same flow from the shell::
 
-    python -m repro serve --workers 4 --port 8734 &
+    python -m repro serve --campaign-workers 2 --port 8734 &
     python -m repro fleet --remote 127.0.0.1:8734 --hours 48
     python -m repro.service.client --port 8734 campaign run --hours 48
 
@@ -104,9 +103,9 @@ Everything the service does is observable without third-party tooling
   generates one per call, or pins one via ``traceparent=`` /
   ``--traceparent``).  The server opens an ``http.request`` span, the
   micro-batcher records one ``batcher.solve`` span per coalesced burst,
-  pool workers record ``pool.slice`` spans, and campaign process workers
-  ship ``campaign.shard`` spans back over the executor pipe -- one trace
-  id follows the request across threads *and* processes.  ``GET
+  and campaign process workers ship ``campaign.shard`` spans back over
+  the executor pipe -- one trace id follows the request across threads
+  *and* processes.  ``GET
   /trace/<id>`` returns the recorded spans; the demo follows one below.
   ``python -m repro serve --log-format json`` additionally emits every
   span and request log as one JSON object per line, trace ids included.
@@ -132,7 +131,7 @@ the per-period settle loop remain as the oracles the kernels are tested
 against, to 1e-9.
 
 Run with:  python examples/service_demo.py [--requests N] [--window-ms W]
-           [--workers N] [--campaign] [--binary] [--campaign-workers N] [--durable]
+           [--campaign] [--binary] [--campaign-workers N] [--durable]
 """
 
 from __future__ import annotations
@@ -288,9 +287,6 @@ def main() -> None:
                         help="micro-batching window in milliseconds")
     parser.add_argument("--alphas", type=float, nargs="+", default=[1.0, 2.0],
                         help="alpha values mixed into the burst")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="engine workers fanning batched solves "
-                             "(1 solves inline on the event loop)")
     parser.add_argument("--campaign", action="store_true",
                         help="also run a fleet campaign over HTTP and "
                              "stream its columns back")
@@ -307,7 +303,7 @@ def main() -> None:
     args = parser.parse_args()
 
     service = AllocationService(
-        window_s=args.window_ms / 1000.0, workers=args.workers,
+        window_s=args.window_ms / 1000.0,
         campaign_workers=args.campaign_workers,
     )
     with start_in_thread(service) as server:
@@ -355,18 +351,13 @@ def main() -> None:
         print(
             f"batcher: {batcher['requests']} solves in {batcher['batches']} "
             f"batches (largest {batcher['largest_batch']}, "
-            f"mean {batcher['mean_batch_size']:.1f} per dispatch)"
+            f"mean {batcher['mean_batch_size']:.1f} per dispatch), "
+            f"{batcher['busy_ms']:.2f} ms busy on the event loop "
+            f"(worst batch {batcher['max_solve_ms']:.2f} ms)"
         )
         print(
             f"latency: mean {latency['mean_ms']:.2f} ms, "
             f"max {latency['max_ms']:.2f} ms per served solve"
-        )
-
-        pool = stats["pool"]
-        print(
-            f"pool: {pool['workers']} engine worker(s), {pool['tasks']} "
-            f"solve tasks, {pool['busy_ms']:.2f} ms busy across "
-            f"{len(pool['per_worker'])} worker thread(s)"
         )
 
         endpoints = stats["endpoints"]

@@ -56,7 +56,6 @@ REDUCED_GRID = {
     "REPRO_BENCH_FLEET_HOURS": "336",
     "REPRO_BENCH_SERVICE_REQUESTS": "192",
     "REPRO_BENCH_SHARD_HOURS": "168",
-    "REPRO_BENCH_POOLED_POINTS": "96",
     "REPRO_BENCH_PLANNING_HOURS": "336",
     "REPRO_BENCH_PLANNING_HORIZON": "12",
     "REPRO_BENCH_KERNEL_BUDGETS": "50000",
@@ -73,7 +72,6 @@ GATES = [
     ("batch_sweep.csv", "batch engine", "speedup_x", 10.0),
     ("fleet_campaign.csv", "fleet engine", "speedup_x", 10.0),
     ("service_throughput.csv", "coalesced service", "speedup_vs_scalar", 10.0),
-    ("service_pool.csv", "4 workers", "speedup_vs_single", 1.05),
     ("planning.csv", "plan scan", "speedup_x", 10.0),
     ("kernels_solve.csv", "compiled solve", "speedup_x", 1.5),
     ("kernels_battery.csv", "compiled settle", "speedup_x", 3.0),

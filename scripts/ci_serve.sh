@@ -2,7 +2,7 @@
 # Start/stop a repro allocation service for CI jobs, with readiness polling.
 #
 # Usage:
-#   scripts/ci_serve.sh start [extra serve args...]   # e.g. --workers 2
+#   scripts/ci_serve.sh start [extra serve args...]   # e.g. --campaign-workers 2
 #   scripts/ci_serve.sh port                          # print the bound port
 #   scripts/ci_serve.sh stop
 #

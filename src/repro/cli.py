@@ -246,13 +246,12 @@ def _command_fleet_remote(args: argparse.Namespace) -> int:
         )
         print(
             "service: cache {rate:.1f}% hit rate, batcher {co:.1f}x "
-            "coalescing, pool {workers}+{cw} workers busy "
-            "{busy:.0f}ms".format(
+            "coalescing, busy {busy:.0f}ms, {cw} campaign "
+            "workers".format(
                 rate=100.0 * float(cache.get("hit_rate", 0.0)),
                 co=coalescing,
-                workers=int(pool.get("workers", 0)),
+                busy=float(batcher.get("busy_ms", 0.0)),
                 cw=int(pool.get("campaign_workers", 0)),
-                busy=float(pool.get("busy_ms", 0.0)),
             )
         )
     if args.profile:
@@ -595,14 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU result-cache capacity (0 disables caching)",
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="engine workers: 1 solves inline on the event loop, N fans "
-             "batched dispatch groups across a thread pool",
-    )
-    serve_parser.add_argument(
-        "--campaign-workers", type=int, default=None,
-        help="process workers for POST /campaign fleet studies "
-             "(default: --workers)",
+        "--campaign-workers", type=int, default=1,
+        help="process workers for POST /campaign fleet studies (1 runs "
+             "each campaign in the serving process)",
     )
     serve_parser.add_argument(
         "--log-format", choices=["text", "json"], default="text",
@@ -678,7 +672,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         window_ms=args.window_ms,
         max_batch=args.max_batch,
-        workers=args.workers,
         campaign_workers=args.campaign_workers,
         log_format=args.log_format,
         slo_ms=dict(slo_ms) if slo_ms else None,

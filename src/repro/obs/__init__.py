@@ -8,8 +8,8 @@
   alike, including the log2 latency histograms behind ``/stats``
   percentiles.
 * :mod:`repro.obs.tracing` -- W3C-traceparent-compatible span contexts
-  that follow a request from the HTTP handler through batcher groups,
-  pool slices, and sharded campaign process workers; structured span
+  that follow a request from the HTTP handler through batcher groups
+  and sharded campaign process workers; structured span
   logs (``--log-format json``) and the recorder behind ``GET /trace/<id>``.
 * :mod:`repro.obs.profiling` -- per-phase wall-clock accumulation for
   the campaign pipeline (``repro fleet --profile``,

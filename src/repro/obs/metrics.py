@@ -3,9 +3,9 @@
 This is the one place the service counts anything:
 
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` families with
-  optional label dimensions, each family guarded by one lock so worker
+  optional label dimensions, each family guarded by one lock so executor
   threads and the event loop can record concurrently.  A component (the
-  cache, batcher, worker pool, store, SLO tracker) creates the families it
+  cache, batcher, campaign pool, store, SLO tracker) creates the families it
   records into and registers them on the service's registry
   (:meth:`MetricsRegistry.register`); ``/metrics``, ``/stats`` and the
   cluster snapshot all read those same families, so they cannot disagree.

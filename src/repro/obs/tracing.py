@@ -1,7 +1,7 @@
 """Request tracing: span contexts, W3C traceparent, structured span logs.
 
 One request's journey through the service crosses an asyncio event loop,
-a micro-batcher flush task, worker-pool threads, and (for campaigns)
+a micro-batcher flush, executor threads, and (for campaigns)
 ``ProcessPoolExecutor`` workers in other processes.  This module gives
 each hop a :class:`SpanContext` -- a (trace_id, span_id) pair compatible
 with the W3C ``traceparent`` header -- and a way to emit what happened

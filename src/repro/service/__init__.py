@@ -8,13 +8,13 @@ devices consult at production scale.  This package is that layer:
   points, collision-free over budgets/alphas);
 * :mod:`repro.service.batcher` -- a micro-batching coalescer that turns
   bursts of concurrent requests into single
-  :class:`~repro.core.batch.BatchAllocator` dispatches;
+  :class:`~repro.core.batch.BatchAllocator` dispatches, solved inline on
+  the event loop;
 * :mod:`repro.service.cache` -- an LRU result cache keyed by the canonical
   encoding, counting hits, misses and evictions;
-* :mod:`repro.service.pool` -- a worker pool fanning batched dispatch
-  groups across engine (thread) workers and campaign cells across a
+* :mod:`repro.service.pool` -- a worker pool running campaign cells on a
   persistent :class:`~concurrent.futures.ProcessPoolExecutor`
-  (``repro serve --workers N``);
+  (``repro serve --campaign-workers N``);
 * :mod:`repro.service.shard` -- fleet campaign grids split across worker
   processes (cell-wise, or time-wise for open-loop studies) and merged
   exactly;

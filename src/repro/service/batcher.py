@@ -14,9 +14,9 @@ one request at a time.  This module closes that gap in two layers:
 
 * :class:`MicroBatcher` is the asyncio front: concurrent ``solve`` calls
   within a configurable time window (or up to a maximum batch size) are
-  parked on futures and flushed together through :func:`solve_batch`, so a
-  burst of 256 independent HTTP requests costs a couple of NumPy passes
-  instead of 256 scalar LP solves.
+  parked on futures and flushed together through :func:`solve_batch`,
+  inline on the event loop, so a burst of 256 independent HTTP requests
+  costs a couple of NumPy passes instead of 256 scalar LP solves.
 
 Engines are built once per distinct engine key and reused across batches
 via :class:`EngineRegistry`, mirroring how policies share their lazily
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +37,6 @@ from repro.core.batch import BatchAllocator, BoundedLru
 from repro.core.design_point import DesignPoint, canonical_design_key
 from repro.data.table2 import table2_design_points
 from repro.service.requests import AllocationRequest, AllocationResponse
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.service.pool import WorkerPool
 
 #: Engines a registry keeps: the least recently used one beyond this is
 #: dropped (and rebuilt if its design-point set comes back), so clients
@@ -53,8 +50,7 @@ class EngineRegistry:
     The registry also owns the service's *default* design-point set, used to
     resolve requests that leave ``design_points`` unset (the common case:
     devices ask about budgets, not about alternative hardware).  The engine
-    map is a thread-safe bounded LRU, so worker-pool threads can share one
-    registry.
+    map is a thread-safe bounded LRU.
     """
 
     def __init__(
@@ -123,42 +119,41 @@ def group_requests(
 
 
 def solve_group(
-    engine: BatchAllocator,
-    requests: Sequence[AllocationRequest],
-    batch_size: Optional[int] = None,
+    engine: BatchAllocator, requests: Sequence[AllocationRequest]
 ) -> List[AllocationResponse]:
     """Solve requests that all share ``engine`` as one vectorized dispatch.
 
     ``solve_arrays`` over the budget vector when the group shares a single
-    alpha, ``solve_grid`` over (budgets x distinct alphas) otherwise.
-    ``batch_size`` is what the responses report as their coalesced group
-    size; worker pools slicing one logical group across workers pass the
-    full group size so clients still observe the coalescing.
+    alpha, ``solve_grid`` over (budgets x distinct alphas) otherwise.  Each
+    response reports the group's size as its coalesced ``batch_size``.
     """
-    if batch_size is None:
-        batch_size = len(requests)
-    names = [dp.name for dp in engine.design_points]
     budgets = np.array([request.energy_budget_j for request in requests])
     alphas = [request.alpha for request in requests]
     distinct_alphas = sorted(set(alphas))
     if len(distinct_alphas) == 1:
-        arrays = engine.solve_arrays(budgets, alpha=distinct_alphas[0])
-        return [
-            AllocationResponse.from_arrays(
-                arrays, row, batch_size=batch_size, names=names
-            )
-            for row in range(len(requests))
-        ]
-    # Mixed alphas still dispatch as one call: solve the full
-    # (alpha x budget) grid and gather each request's cell.
-    grid = engine.solve_grid(budgets, alphas=distinct_alphas)
-    alpha_row = {alpha: row for row, alpha in enumerate(distinct_alphas)}
-    return [
-        AllocationResponse.from_grid(
-            grid, alpha_row[alphas[row]], row, batch_size=batch_size
-        )
-        for row in range(len(requests))
-    ]
+        solved = engine.solve_arrays(budgets, alpha=distinct_alphas[0])
+        feasible = solved.feasible
+        cells = slice(None)  # row i is request i
+    else:
+        # Mixed alphas still dispatch as one call: solve the full
+        # (alpha x budget) grid and gather each request's cell.
+        solved = engine.solve_grid(budgets, alphas=distinct_alphas)
+        feasible = solved.budget_feasible
+        alpha_row = {alpha: row for row, alpha in enumerate(distinct_alphas)}
+        cells = ([alpha_row[alpha] for alpha in alphas], np.arange(len(alphas)))
+    return AllocationResponse.from_columns(
+        [dp.name for dp in engine.design_points],
+        solved.period_s,
+        solved.times_s[cells],
+        solved.active_time_s[cells],
+        solved.objective[cells],
+        solved.expected_accuracy[cells],
+        solved.energy_j[cells],
+        feasible,
+        solved.budgets_j,
+        alphas,
+        batch_size=len(requests),
+    )
 
 
 def solve_batch(
@@ -194,7 +189,9 @@ class MicroBatcher:
     :meth:`solve_bulk` parks a whole burst on a single future (one
     ``POST /allocate/batch`` payload) -- bursts therefore pay one future
     and one scatter, not one per request, and singles arriving inside the
-    same window still merge into the burst's dispatch.
+    same window still merge into the burst's dispatch.  A flush solves its
+    chunks inline on the event loop and resolves the futures in the same
+    call.
 
     A batcher is bound to a single event loop: the pending queue is
     unlocked and futures resolve on the loop that created them.  Do not
@@ -211,13 +208,9 @@ class MicroBatcher:
         still coalesces whatever lands in the same event-loop turn.
     max_batch:
         Flush immediately once this many requests are pending, and split
-        oversize bursts into solve chunks of at most this size.
-    pool:
-        Optional :class:`~repro.service.pool.WorkerPool`.  When present,
-        flushed chunks are fanned across the pool's engine workers off the
-        event loop (the loop keeps serving connections while workers
-        solve); when absent, chunks are solved inline on the loop exactly
-        as before.
+        oversize bursts into solve chunks of at most this size.  It bounds
+        one chunk's solve, not the loop stall of one flush: a flush solves
+        its chunks back to back.
     """
 
     def __init__(
@@ -225,7 +218,6 @@ class MicroBatcher:
         registry: Optional[EngineRegistry] = None,
         window_s: float = 0.002,
         max_batch: int = 1024,
-        pool: Optional["WorkerPool"] = None,
     ) -> None:
         if window_s < 0:
             raise ValueError(f"window must be non-negative, got {window_s}")
@@ -234,7 +226,6 @@ class MicroBatcher:
         self.registry = registry if registry is not None else EngineRegistry()
         self.window_s = float(window_s)
         self.max_batch = int(max_batch)
-        self.pool = pool
         #: Requests per flushed solve chunk: its count is the batches, its
         #: sum the requests and its max the largest batch.
         self.batch_size = Histogram(
@@ -243,12 +234,22 @@ class MicroBatcher:
             "micro-batcher.",
             bounds=(),
         )
+        #: Seconds per flushed solve chunk, spent on the event loop: its
+        #: count is the batches, its sum the busy time and its max the
+        #: worst chunk.
+        self.solve_seconds = Histogram(
+            "repro_batcher_solve_seconds",
+            "Event-loop seconds per vectorized solve batch flushed by the "
+            "micro-batcher.",
+            bounds=(),
+        )
         # Entries are (burst, future, trace_ctx): a single request is a
         # burst of one whose future resolves to one response; solve_bulk
         # futures resolve to the whole burst's response list.  trace_ctx is
-        # the span context active when the burst was enqueued -- flushes
-        # run on a separate task, so each burst's span parent is carried
-        # explicitly rather than through contextvars.
+        # the span context active when the burst was enqueued -- a flush
+        # serves many bursts at once (often from the window timer), so each
+        # burst's span parent is carried explicitly rather than through
+        # contextvars.
         self._pending: List[
             Tuple[
                 List[AllocationRequest],
@@ -258,27 +259,30 @@ class MicroBatcher:
         ] = []
         self._pending_requests = 0
         self._timer: Optional[asyncio.TimerHandle] = None
-        # Pool flushes run as loop tasks; keep strong references so they
-        # are not garbage-collected mid-dispatch.
-        self._inflight: Set["asyncio.Task"] = set()
 
     def totals(self) -> Dict[str, Any]:
-        """``{requests, batches, largest_batch, mean_batch_size}`` so far.
+        """Batch counts and event-loop busy time so far.
 
-        ``/stats`` and the ``repro_batcher_{requests,batches}_total``
-        families both read this one derivation.
+        ``{requests, batches, largest_batch, mean_batch_size, busy_ms,
+        max_solve_ms}``: ``/stats`` and the
+        ``repro_batcher_{requests,batches}_total`` families both read this
+        one derivation.
         """
         batches, requests, largest = self.batch_size.totals()
+        _, busy_s, max_solve_s = self.solve_seconds.totals()
         return {
             "requests": int(requests),
             "batches": batches,
             "largest_batch": int(largest),
             "mean_batch_size": requests / batches if batches else 0.0,
+            "busy_ms": busy_s * 1000.0,
+            "max_solve_ms": max_solve_s * 1000.0,
         }
 
     def register_metrics(self, registry: MetricsRegistry) -> None:
         """Expose the batcher's families on a metrics registry."""
         registry.register(self.batch_size)
+        registry.register(self.solve_seconds)
         registry.callback(
             "repro_batcher_requests_total",
             "Allocation requests that reached the micro-batcher.",
@@ -333,7 +337,13 @@ class MicroBatcher:
         )
 
     def flush(self) -> None:
-        """Dispatch everything pending now (no-op on an empty batch)."""
+        """Solve everything pending now and resolve its futures.
+
+        Chunks of at most ``max_batch`` are solved back to back; a burst
+        spanning chunks is reassembled before its future resolves (the
+        scatter walks the pending list, not the chunks).  No-op on an
+        empty batch.
+        """
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -344,46 +354,22 @@ class MicroBatcher:
         flat: List[AllocationRequest] = []
         for burst, _, _ in pending:
             flat.extend(burst)
-        # One dispatch loop for both modes: the pooled path awaits the
-        # workers (keeping the event loop free), the pool-less path solves
-        # inline on the loop within the same task.
-        task = asyncio.get_running_loop().create_task(
-            self._flush_async(pending, flat)
-        )
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
-
-    async def _flush_async(
-        self,
-        pending: List[
-            Tuple[
-                List[AllocationRequest],
-                "asyncio.Future",
-                Optional[tracing.SpanContext],
-            ]
-        ],
-        flat: List[AllocationRequest],
-    ) -> None:
-        """Solve the flushed chunks (of at most ``max_batch``), then scatter.
-
-        A burst spanning chunks is reassembled before its future resolves
-        (the scatter walks the pending list, not the chunks).
-        """
         wall_start = time.time()
         dispatch_start = time.perf_counter()
         responses: List[AllocationResponse] = []
         error: Optional[Exception] = None
         for start in range(0, len(flat), self.max_batch):
             chunk = flat[start : start + self.max_batch]
+            chunk_start = time.perf_counter()
             try:
-                if self.pool is not None:
-                    responses.extend(await self.pool.solve_batch_async(chunk))
-                else:
-                    responses.extend(solve_batch(chunk, self.registry))
+                responses.extend(solve_batch(chunk, self.registry))
             except Exception as failure:  # propagate to every waiter
                 error = failure
                 break
-            self.batch_size.observe(len(chunk))
+            finally:
+                # A failing chunk held the loop too: it counts as a batch.
+                self.solve_seconds.observe(time.perf_counter() - chunk_start)
+                self.batch_size.observe(len(chunk))
         elapsed = time.perf_counter() - dispatch_start
         # One batcher.solve span per *traced* burst: the dispatch served
         # every pending burst at once, so each traced requester sees the

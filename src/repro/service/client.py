@@ -403,8 +403,8 @@ def format_stats_summary(stats: Dict[str, Any]) -> str:
     """Render a ``/stats`` payload as a short human-readable summary.
 
     Covers the headline service-health numbers: cache hit rate, batcher
-    coalescing ratio, pool utilization, SLO compliance, and per-endpoint
-    latency percentiles.  ``stats --json`` prints the raw counters
+    coalescing ratio and event-loop solve utilization, SLO compliance, and
+    per-endpoint latency percentiles.  ``stats --json`` prints the raw counters
     instead.
     """
     lines: List[str] = []
@@ -433,17 +433,20 @@ def format_stats_summary(stats: Dict[str, Any]) -> str:
         f"({coalescing:.1f}x coalescing, largest "
         f"{int(batcher.get('largest_batch', 0))})"
     )
+    busy_ms = float(batcher.get("busy_ms", 0.0))
+    utilization = (
+        100.0 * busy_ms / (uptime_s * 1000.0) if uptime_s > 0 else 0.0
+    )
+    lines.append(
+        f"solve      busy {busy_ms:.1f}ms ({utilization:.1f}% of the event "
+        f"loop over {uptime_s:.0f}s), worst batch "
+        f"{float(batcher.get('max_solve_ms', 0.0)):.2f}ms"
+    )
 
     pool = stats.get("pool", {})
-    workers = int(pool.get("workers", 0))
-    busy_ms = float(pool.get("busy_ms", 0.0))
-    capacity_ms = uptime_s * 1000.0 * max(workers, 1)
-    utilization = 100.0 * busy_ms / capacity_ms if capacity_ms > 0 else 0.0
     lines.append(
-        f"pool       {workers} engine + "
-        f"{int(pool.get('campaign_workers', 0))} campaign workers, "
-        f"{int(pool.get('tasks', 0))} tasks, busy {busy_ms:.1f}ms "
-        f"({utilization:.1f}% utilization over {uptime_s:.0f}s)"
+        f"pool       {int(pool.get('campaign_workers', 0))} campaign "
+        f"workers, {int(pool.get('campaigns', 0))} campaigns"
     )
 
     slo = stats.get("slo", {})
@@ -493,10 +496,9 @@ def _proc_row(proc: str, stats: Dict[str, Any]) -> Dict[str, Any]:
         (float(entry.get("p95_ms", 0.0)) for entry in endpoints.values()),
         default=0.0,
     )
-    pool = stats.get("pool", {})
-    workers = int(pool.get("workers", 0))
-    capacity_ms = uptime_s * 1000.0 * max(workers, 1)
-    utilization = 100.0 * float(pool.get("busy_ms", 0.0)) / capacity_ms
+    # One event loop solves every batch: util is its busy share.
+    busy_ms = float(stats.get("batcher", {}).get("busy_ms", 0.0))
+    utilization = 100.0 * busy_ms / (uptime_s * 1000.0)
     cache = stats.get("cache", {})
     return {
         "proc": proc,

@@ -6,7 +6,7 @@ encode/decode, chunked streaming, journal replay -- shares that loop.
 :func:`run_frontend` runs **N independent server processes accepting on
 one port** via ``SO_REUSEPORT`` (the kernel load-balances accepted
 connections across the listening sockets), each with its own
-:class:`~repro.service.server.AllocationService`, worker pool and store
+:class:`~repro.service.server.AllocationService`, campaign pool and store
 connection::
 
     python -m repro serve --procs 4 --store /var/lib/repro/jobs.db
@@ -31,11 +31,13 @@ The parent process is a plain supervisor: it resolves the port (an
 ephemeral ``--port 0`` is bound once, so all children agree), spawns the
 children through the ``spawn`` context (no inherited event loops or
 locks), forwards SIGTERM/SIGINT, and exits non-zero if any child dies
-unexpectedly.
+unexpectedly.  A child exits on its own once the supervisor is gone, even
+when the supervisor was SIGKILLed and could forward nothing.
 """
 
 from __future__ import annotations
 
+import os
 import signal
 import socket
 import sys
@@ -65,8 +67,7 @@ class FrontendConfig:
     cache_size: int = 4096
     window_ms: float = 2.0
     max_batch: int = 1024
-    workers: int = 1
-    campaign_workers: Optional[int] = None
+    campaign_workers: int = 1
     log_format: str = "text"
     slo_ms: Optional[Dict[str, float]] = field(default=None)
 
@@ -90,25 +91,29 @@ def build_service(config: FrontendConfig) -> Any:
         cache_size=config.cache_size,
         window_s=config.window_ms / 1000.0,
         max_batch=config.max_batch,
-        workers=config.workers,
         campaign_workers=config.campaign_workers,
         slo_ms=config.slo_ms,
         store=store,
     )
 
 
-def _child_main(config: FrontendConfig, port: int, index: int) -> None:
+def _child_main(
+    config: FrontendConfig, port: int, index: int, parent_pid: int
+) -> None:
     """Entry point of one front-end process (spawn context).
 
     Every child binds the same ``port`` with ``SO_REUSEPORT``.  Child 0
     is the spokesperson: it announces the address and writes
-    ``--port-file``; its siblings serve silently.
+    ``--port-file``; its siblings serve silently.  The child exits once
+    ``parent_pid``, the supervisor, is no longer its parent.
     """
     import asyncio
 
     from repro.obs.tracing import configure_logging
+    from repro.service.pool import exit_with_parent
     from repro.service.server import serve
 
+    exit_with_parent(parent_pid)
     configure_logging(config.log_format)
     # The parent owns process-group signal handling; children exit on the
     # default SIGTERM and turn SIGINT into a clean KeyboardInterrupt stop.
@@ -194,7 +199,7 @@ def run_frontend(config: FrontendConfig) -> int:
     children: List[Any] = [
         context.Process(
             target=_child_main,
-            args=(config, port, index),
+            args=(config, port, index, os.getpid()),
             name=f"repro-frontend-{index}",
             daemon=False,
         )

@@ -1,110 +1,106 @@
-"""Worker pool: fan batched solves and campaign cells across N workers.
+"""Worker pool: campaign cells on a persistent process executor.
 
-One allocation service process has two kinds of heavy work:
+A fleet study submitted over HTTP is a grid of (scenario x policy)
+campaign cells.  Cells are whole simulations (LP solves plus Python
+accounting), so they scale across a
+:class:`~concurrent.futures.ProcessPoolExecutor`, reusing the sharded
+runner of :mod:`repro.service.shard`.  Allocation solves never come here:
+the micro-batcher solves them inline on the event loop, since one batched
+solve is ~0.1 ms of NumPy dispatch under the GIL and a thread hand-off
+would cost more than it saves.
 
-* **Engine dispatch groups.**  The micro-batcher coalesces concurrent
-  requests into per-engine groups, each solved by one vectorized NumPy
-  pass.  Those passes release the GIL for their array work, so a
-  :class:`~concurrent.futures.ThreadPoolExecutor` of *engine workers* can
-  run several groups -- or slices of one large group -- in parallel while
-  the asyncio event loop keeps accepting connections.
-
-* **Campaign cells.**  A fleet study submitted over HTTP is a grid of
-  (scenario x policy) campaign cells.  Cells are whole simulations (LP
-  solves plus Python accounting), so they scale across a
-  :class:`~concurrent.futures.ProcessPoolExecutor` instead, reusing the
-  sharded runner of :mod:`repro.service.shard`.
-
-:class:`WorkerPool` owns both executors (the process pool is created
-lazily, on the first campaign) plus per-worker metric families that the
-server's ``/stats`` and ``/metrics`` read.  ``workers=1`` keeps every solve
-inline on the calling thread -- that is the single-worker baseline the
-pooled benchmark in ``benchmarks/bench_service.py`` must beat.
+:class:`WorkerPool` owns the process executor (created lazily, on the
+first campaign) and the metric families that the server's ``/stats`` and
+``/metrics`` read.  Its workers exit on their own when the process that
+owns the pool dies, whatever the start method (:func:`exit_with_parent`).
 """
 
 from __future__ import annotations
 
-import asyncio
+import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from typing import Optional
 
 from repro.obs import tracing
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
-from repro.service.batcher import EngineRegistry, group_requests, solve_group
-from repro.service.requests import AllocationRequest, AllocationResponse
+from repro.obs.metrics import Counter, MetricsRegistry
 
-#: Smallest per-worker slice of one dispatch group.  Splitting below this
-#: size trades more executor overhead than the parallel solve wins back.
-MIN_SLICE = 16
+#: How often an orphan watchdog checks whether its parent is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exists(pid: int) -> bool:
+    """Whether process ``pid`` exists (a zombie does, until it is reaped)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # it exists, under another user
+        return True
+    return True
+
+
+def exit_with_parent(parent_pid: int) -> None:
+    """Exit this process once process ``parent_pid`` has died.
+
+    Starts a daemon thread that checks every ``_PARENT_POLL_S`` and ends
+    the process with ``os._exit``.  A direct child of ``parent_pid`` (fork
+    and spawn workers, the supervisor's front-ends) is re-parented the
+    moment that process dies, so it watches :func:`os.getppid`.  A worker
+    started through a fork server (``forkserver``, Linux's default from
+    Python 3.14) has the fork server as its parent, and the fork server
+    lives on for as long as any of its workers does; such a worker polls
+    whether ``parent_pid`` still exists instead, so it exits once that
+    process has been reaped.  Either way a SIGKILLed server or ``--procs``
+    supervisor leaves no workers or front-ends behind.
+    ``PR_SET_PDEATHSIG`` is no substitute: it fires when the *thread* that
+    started the child exits, and campaign workers are started from
+    executor threads.
+    """
+    # False for a fork server's worker, or when the parent died first.
+    direct_child = os.getppid() == parent_pid
+
+    def watch() -> None:
+        while (os.getppid() == parent_pid) if direct_child else _exists(parent_pid):
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watchdog", daemon=True).start()
+
+
+def _init_campaign_worker(log_format: str, parent_pid: int) -> None:
+    """Process-worker initializer: replay the log config, die with the parent.
+
+    The log config matters for spawn-started workers (the default inside a
+    spawn-context front-end child): shard span lines reach the shared log
+    stream no matter the worker start method.
+    """
+    tracing.init_worker_logging(log_format)
+    exit_with_parent(parent_pid)
 
 
 class WorkerPool:
-    """N engine workers for solve groups, process workers for campaigns.
+    """Process workers for campaign grids.
 
     Parameters
     ----------
-    workers:
-        Engine (thread) workers.  ``1`` keeps solves inline on the calling
-        thread; ``N > 1`` fans dispatch groups -- and slices of large
-        groups -- across a thread pool.
-    registry:
-        Shared :class:`EngineRegistry`; one is created when omitted.
-        Engines are built lazily under the registry's lock, so all workers
-        share one engine per key.
     campaign_workers:
-        Process workers for campaign grids (defaults to ``workers``).  The
-        :class:`ProcessPoolExecutor` is created on the first campaign and
-        reused across campaigns until :meth:`shutdown`.
-    min_slice:
-        Smallest per-worker slice when splitting one dispatch group.
+        Process workers for campaign grids.  ``1`` runs each campaign in
+        the calling process; above 1 the :class:`ProcessPoolExecutor` is
+        created on the first campaign and reused across campaigns until
+        :meth:`shutdown`.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        registry: Optional[EngineRegistry] = None,
-        campaign_workers: Optional[int] = None,
-        min_slice: int = MIN_SLICE,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        if campaign_workers is not None and campaign_workers < 1:
+    def __init__(self, campaign_workers: int = 1) -> None:
+        if campaign_workers < 1:
             raise ValueError(
                 f"campaign_workers must be at least 1, got {campaign_workers}"
             )
-        if min_slice < 1:
-            raise ValueError(f"min_slice must be at least 1, got {min_slice}")
-        self.workers = int(workers)
-        self.registry = registry if registry is not None else EngineRegistry()
-        self.campaign_workers = int(
-            campaign_workers if campaign_workers is not None else workers
-        )
-        self.min_slice = int(min_slice)
-        self._executor: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="engine-worker"
-            )
-            if self.workers > 1
-            else None
-        )
+        self.campaign_workers = int(campaign_workers)
         self._campaign_executor: Optional[ProcessPoolExecutor] = None
         self._campaign_lock = threading.Lock()
         self._closed = False
-        #: Busy seconds per solve task, by engine worker (thread name): its
-        #: count is the worker's tasks, its sum the worker's busy time.
-        self.task_seconds = Histogram(
-            "repro_pool_task_seconds",
-            "Busy seconds per solve task, by engine worker thread.",
-            ("worker",),
-            bounds=(),
-        )
-        self.task_requests = Counter(
-            "repro_pool_requests_total",
-            "Requests solved by the engine worker pool, by worker thread.",
-            ("worker",),
-        )
         self.campaigns_run = Counter(
             "repro_pool_campaigns_total",
             "Campaign grids run on the worker pool.",
@@ -117,16 +113,13 @@ class WorkerPool:
         return self._closed
 
     def shutdown(self, wait: bool = True, cancel_pending: bool = True) -> None:
-        """Stop both executors; idempotent.
+        """Stop the process executor; idempotent.
 
-        ``cancel_pending`` cancels queued-but-unstarted solve tasks (their
-        futures report cancelled); running tasks always finish.  With
-        ``wait`` the call returns only after every worker thread/process
-        has joined.
+        ``cancel_pending`` cancels queued-but-unstarted shard tasks; running
+        tasks always finish.  With ``wait`` the call returns only after
+        every worker process has joined.
         """
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait, cancel_futures=cancel_pending)
         with self._campaign_lock:
             if self._campaign_executor is not None:
                 self._campaign_executor.shutdown(
@@ -144,143 +137,7 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("worker pool is shut down")
 
-    # --- engine-worker side -----------------------------------------------------
-    def _slices(self, indices: List[int]) -> List[List[int]]:
-        """Split one group's indices into at most ``workers`` even slices.
-
-        Slices never go below ``min_slice`` requests (except the natural
-        remainder), so small groups stay whole and large groups fan out.
-        """
-        if self.workers == 1 or len(indices) < 2 * self.min_slice:
-            return [indices]
-        num_slices = min(self.workers, len(indices) // self.min_slice)
-        base, extra = divmod(len(indices), num_slices)
-        slices: List[List[int]] = []
-        start = 0
-        for slice_index in range(num_slices):
-            size = base + (1 if slice_index < extra else 0)
-            slices.append(indices[start : start + size])
-            start += size
-        return slices
-
-    def _plan(
-        self, requests: Sequence[AllocationRequest]
-    ) -> List[tuple]:
-        """(indices, sub-requests, group size) per executor task."""
-        tasks = []
-        for indices in group_requests(requests, self.registry).values():
-            for chunk in self._slices(indices):
-                tasks.append(
-                    (chunk, [requests[i] for i in chunk], len(indices))
-                )
-        return tasks
-
-    def _solve_task(
-        self,
-        requests: List[AllocationRequest],
-        group_size: int,
-        parent: Optional[tracing.SpanContext] = None,
-    ) -> List[AllocationResponse]:
-        """Worker body: one vectorized solve over one group slice.
-
-        ``parent`` is the caller's span context, passed explicitly because
-        contextvars don't follow work into executor threads; when set, the
-        slice emits a ``pool.slice`` span under it.
-        """
-        wall_start = time.time()
-        started = time.perf_counter()
-        engine = self.registry.engine_for(requests[0])
-        responses = solve_group(engine, requests, batch_size=group_size)
-        elapsed = time.perf_counter() - started
-        name = threading.current_thread().name
-        self.task_seconds.observe(elapsed, worker=name)
-        self.task_requests.inc(len(requests), worker=name)
-        if parent is not None:
-            tracing.record_span(
-                "pool.slice",
-                parent,
-                wall_start,
-                elapsed,
-                worker=name,
-                requests=len(requests),
-                group_size=group_size,
-            )
-        return responses
-
-    @staticmethod
-    def _scatter(
-        plan: List[tuple],
-        shares: Sequence[List[AllocationResponse]],
-        num_requests: int,
-    ) -> List[AllocationResponse]:
-        """Reassemble per-slice shares into input order."""
-        responses: List[Optional[AllocationResponse]] = [None] * num_requests
-        for (indices, _, _), share in zip(plan, shares):
-            for index, response in zip(indices, share):
-                responses[index] = response
-        # The plan's slices partition every index; a hole would misalign
-        # responses with requests for callers that zip by position.
-        assert all(response is not None for response in responses)
-        return responses  # type: ignore[return-value]
-
-    def solve_batch(
-        self, requests: Sequence[AllocationRequest]
-    ) -> List[AllocationResponse]:
-        """Solve a bag of requests, fanned across the engine workers.
-
-        Blocking variant (benchmarks, scripts).  Responses come back in
-        input order and report the *logical* group size as ``batch_size``
-        even when a group was sliced across several workers.
-        """
-        self._check_open()
-        requests = list(requests)
-        if not requests:
-            return []
-        plan = self._plan(requests)
-        parent = tracing.current_context()
-        if self._executor is None:
-            shares = [
-                self._solve_task(chunk, size, parent)
-                for _, chunk, size in plan
-            ]
-        else:
-            futures = [
-                self._executor.submit(self._solve_task, chunk, size, parent)
-                for _, chunk, size in plan
-            ]
-            shares = [future.result() for future in futures]
-        return self._scatter(plan, shares, len(requests))
-
-    async def solve_batch_async(
-        self, requests: Sequence[AllocationRequest]
-    ) -> List[AllocationResponse]:
-        """Async variant of :meth:`solve_batch` for the micro-batcher.
-
-        With one worker the solve runs inline on the event loop (identical
-        to the pre-pool service); with more, every slice becomes a
-        ``run_in_executor`` task so the loop stays responsive while the
-        workers crunch.
-        """
-        self._check_open()
-        requests = list(requests)
-        if not requests:
-            return []
-        if self._executor is None:
-            return self.solve_batch(requests)
-        loop = asyncio.get_running_loop()
-        plan = self._plan(requests)
-        parent = tracing.current_context()
-        shares = await asyncio.gather(
-            *(
-                loop.run_in_executor(
-                    self._executor, self._solve_task, chunk, size, parent
-                )
-                for _, chunk, size in plan
-            )
-        )
-        return self._scatter(plan, shares, len(requests))
-
-    # --- campaign side ----------------------------------------------------------
+    # --- campaigns --------------------------------------------------------------
     def _ensure_campaign_executor(self) -> Optional[ProcessPoolExecutor]:
         if self.campaign_workers == 1:
             return None
@@ -290,14 +147,10 @@ class WorkerPool:
             # the executor here would leak worker processes nobody stops.
             self._check_open()
             if self._campaign_executor is None:
-                # The initializer replays the parent's logging config in
-                # spawn-started workers (the default inside a spawn-context
-                # front-end child), so shard span lines reach the shared
-                # log stream no matter the worker start method.
                 self._campaign_executor = ProcessPoolExecutor(
                     max_workers=self.campaign_workers,
-                    initializer=tracing.init_worker_logging,
-                    initargs=(tracing.active_log_format(),),
+                    initializer=_init_campaign_worker,
+                    initargs=(tracing.active_log_format(), os.getpid()),
                 )
             return self._campaign_executor
 
@@ -346,55 +199,15 @@ class WorkerPool:
         return result
 
     # --- metrics ----------------------------------------------------------------
-    def usage(self) -> Dict[str, Any]:
-        """Solve work so far: ``{tasks, requests, busy_ms, per_worker}``.
-
-        ``per_worker`` maps each engine worker thread to its own
-        ``{tasks, requests, busy_ms}``; the top-level fields are their
-        sums.  ``/stats`` and the ``repro_pool_{tasks,busy_seconds}_total``
-        families both read this one derivation.
-        """
-        per_worker = {}
-        for (worker,) in self.task_seconds.label_values():
-            tasks, busy_s, _ = self.task_seconds.totals(worker=worker)
-            per_worker[worker] = {
-                "tasks": tasks,
-                "requests": int(self.task_requests.value(worker=worker)),
-                "busy_ms": busy_s * 1000.0,
-            }
-        return {
-            "tasks": sum(doc["tasks"] for doc in per_worker.values()),
-            "requests": sum(doc["requests"] for doc in per_worker.values()),
-            "busy_ms": sum(doc["busy_ms"] for doc in per_worker.values()),
-            "per_worker": per_worker,
-        }
-
     def register_metrics(self, registry: MetricsRegistry) -> None:
         """Expose the pool's families on a metrics registry."""
-        registry.register(self.task_seconds)
-        registry.register(self.task_requests)
         registry.register(self.campaigns_run)
         registry.callback(
-            "repro_pool_tasks_total",
-            "Solve tasks completed by the engine worker pool.",
-            "counter",
-            lambda: [("", {}, self.usage()["tasks"])],
-        )
-        registry.callback(
-            "repro_pool_busy_seconds_total",
-            "Cumulative busy time across engine workers.",
-            "counter",
-            lambda: [("", {}, self.usage()["busy_ms"] / 1000.0)],
-        )
-        registry.callback(
             "repro_pool_workers",
-            "Configured engine (thread) and campaign (process) workers.",
+            "Configured campaign (process) workers.",
             "gauge",
-            lambda: [
-                ("", {"kind": "engine"}, self.workers),
-                ("", {"kind": "campaign"}, self.campaign_workers),
-            ],
+            lambda: [("", {"kind": "campaign"}, self.campaign_workers)],
         )
 
 
-__all__ = ["MIN_SLICE", "WorkerPool"]
+__all__ = ["WorkerPool", "exit_with_parent"]

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.batch import BatchArrays, BatchGridResult
+import numpy as np
+
 from repro.core.design_point import (
     DesignPoint,
     canonical_design_key,
@@ -188,63 +189,55 @@ class AllocationResponse:
         """Copy of this response flagged as served from the cache."""
         return replace(self, cache_hit=True)
 
-    # --- constructors from engine results ---------------------------------------
+    # --- constructor from engine results ---------------------------------------
     @classmethod
-    def from_arrays(
+    def from_columns(
         cls,
-        arrays: BatchArrays,
-        index: int,
-        batch_size: int = 1,
-        names: Optional[Sequence[str]] = None,
-    ) -> "AllocationResponse":
-        """Build the response of one row of a raw-array batch solve.
+        names: Sequence[str],
+        period_s: float,
+        times_s: np.ndarray,
+        active_time_s: np.ndarray,
+        objective: np.ndarray,
+        expected_accuracy: np.ndarray,
+        energy_j: np.ndarray,
+        feasible: np.ndarray,
+        budgets_j: np.ndarray,
+        alphas: Sequence[float],
+        batch_size: int,
+    ) -> List["AllocationResponse"]:
+        """One response per row of a batch solve's per-request columns.
 
-        ``names`` lets bulk callers hoist the design-point name list out of
-        a scatter loop (it must match ``arrays.design_points``).
+        Row ``i`` of every column (``times_s`` is ``(rows, len(names))``)
+        belongs to request ``i``, which solved at ``alphas[i]``.  Each
+        column becomes Python floats in one ``tolist`` call rather than
+        element by element: at a few hundred requests, building the
+        responses costs more than the vectorized solve itself.
         """
-        if names is None:
-            names = [dp.name for dp in arrays.design_points]
-        times = arrays.times_s[index]
-        active = float(arrays.active_time_s[index])
-        return cls(
-            times_s={name: float(t) for name, t in zip(names, times)},
-            off_time_s=max(0.0, float(arrays.period_s) - active),
-            objective=float(arrays.objective[index]),
-            expected_accuracy=float(arrays.expected_accuracy[index]),
-            active_time_s=active,
-            energy_j=float(arrays.energy_j[index]),
-            budget_feasible=bool(arrays.feasible[index]),
-            energy_budget_j=float(arrays.budgets_j[index]),
-            alpha=float(arrays.alpha),
-            batch_size=batch_size,
-        )
-
-    @classmethod
-    def from_grid(
-        cls,
-        grid: BatchGridResult,
-        alpha_index: int,
-        budget_index: int,
-        batch_size: int = 1,
-    ) -> "AllocationResponse":
-        """Build the response of one (alpha, budget) cell of a grid solve."""
-        names = [dp.name for dp in grid.design_points]
-        times = grid.times_s[alpha_index, budget_index]
-        active = float(grid.active_time_s[alpha_index, budget_index])
-        return cls(
-            times_s={name: float(t) for name, t in zip(names, times)},
-            off_time_s=max(0.0, float(grid.period_s) - active),
-            objective=float(grid.objective[alpha_index, budget_index]),
-            expected_accuracy=float(
-                grid.expected_accuracy[alpha_index, budget_index]
-            ),
-            active_time_s=active,
-            energy_j=float(grid.energy_j[alpha_index, budget_index]),
-            budget_feasible=bool(grid.budget_feasible[budget_index]),
-            energy_budget_j=float(grid.budgets_j[budget_index]),
-            alpha=float(grid.alphas[alpha_index]),
-            batch_size=batch_size,
-        )
+        period = float(period_s)
+        return [
+            cls(
+                times_s=dict(zip(names, times)),
+                off_time_s=max(0.0, period - active),
+                objective=value,
+                expected_accuracy=accuracy,
+                active_time_s=active,
+                energy_j=energy,
+                budget_feasible=ok,
+                energy_budget_j=budget,
+                alpha=float(alpha),
+                batch_size=batch_size,
+            )
+            for times, active, value, accuracy, energy, ok, budget, alpha in zip(
+                times_s.tolist(),
+                active_time_s.tolist(),
+                objective.tolist(),
+                expected_accuracy.tolist(),
+                energy_j.tolist(),
+                feasible.tolist(),
+                budgets_j.tolist(),
+                alphas,
+            )
+        ]
 
     # --- JSON codec -------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, Any]:

@@ -43,7 +43,7 @@ Endpoints (shown unversioned; prefix with ``/v1`` for the stable API)
     Liveness probe plus deployment facts: status, package version,
     uptime, pid, worker/store configuration.
 ``GET /stats``
-    Cache, batcher, worker-pool, latency, and SLO counters as JSON.
+    Cache, batcher, campaign-pool, latency, and SLO counters as JSON.
 ``GET /metrics``
     The same counters in Prometheus text exposition format (scrapeable),
     including per-endpoint latency histograms, per-phase campaign timing
@@ -51,7 +51,7 @@ Endpoints (shown unversioned; prefix with ``/v1`` for the stable API)
 ``GET /trace/<trace_id>``
     Recorded spans of one trace (requests carry W3C ``traceparent``
     headers; the server opens a span per request and child spans through
-    batcher, pool, and campaign workers).
+    the batcher and the campaign workers).
 ``POST /allocate``
     One :class:`~repro.service.requests.AllocationRequest` JSON body ->
     one :class:`~repro.service.requests.AllocationResponse`.
@@ -95,8 +95,8 @@ Endpoints (shown unversioned; prefix with ``/v1`` for the stable API)
 ``/stats`` additionally reports per-endpoint latency histograms
 (p50/p95/p99) under ``"endpoints"``, labelled by route pattern.
 
-Use ``python -m repro serve [--workers N]`` to run a server from the
-shell and :mod:`repro.service.client` to talk to it.
+Use ``python -m repro serve [--campaign-workers N]`` to run a server from
+the shell and :mod:`repro.service.client` to talk to it.
 """
 
 from __future__ import annotations
@@ -229,11 +229,10 @@ class AllocationService:
     run an event loop and await :meth:`allocate` from many tasks to get the
     same coalescing behaviour without any socket.
 
-    ``workers`` sizes the :class:`~repro.service.pool.WorkerPool` that
-    solves flushed batches: ``1`` keeps solves inline on the event loop
-    (the PR-3 behaviour), ``N > 1`` fans dispatch groups across engine
-    worker threads.  Campaign submissions always run on the pool
-    (``campaign_workers`` processes, defaulting to ``workers``).
+    Allocation solves run inline on the event loop, in the micro-batcher's
+    flush.  Campaign submissions run on the
+    :class:`~repro.service.pool.WorkerPool` (``campaign_workers``
+    processes; ``1`` runs each campaign in this process).
     """
 
     def __init__(
@@ -242,8 +241,7 @@ class AllocationService:
         cache_size: int = 4096,
         window_s: float = 0.002,
         max_batch: int = 1024,
-        workers: int = 1,
-        campaign_workers: Optional[int] = None,
+        campaign_workers: int = 1,
         max_campaigns: int = 64,
         slo_ms: Optional[Mapping[str, float]] = None,
         store: Optional[Any] = None,
@@ -259,17 +257,10 @@ class AllocationService:
             CampaignStore(store) if isinstance(store, str) else store
         )
         self.registry = EngineRegistry(default_points)
-        self.pool = WorkerPool(
-            workers=workers,
-            registry=self.registry,
-            campaign_workers=campaign_workers,
-        )
+        self.pool = WorkerPool(campaign_workers=campaign_workers)
         self.cache: AllocationCache[AllocationResponse] = AllocationCache(cache_size)
         self.batcher = MicroBatcher(
-            registry=self.registry,
-            window_s=window_s,
-            max_batch=max_batch,
-            pool=self.pool if workers > 1 else None,
+            registry=self.registry, window_s=window_s, max_batch=max_batch
         )
         #: Per-endpoint latency objectives (``--slo-ms``); burn rates feed
         #: both ``/stats`` and ``/metrics``.
@@ -389,7 +380,7 @@ class AllocationService:
         self.slo.register_metrics(metrics)
 
     def close(self) -> None:
-        """Shut the worker pool and the store down (idempotent)."""
+        """Shut the campaign pool and the store down (idempotent)."""
         self.pool.shutdown()
         if self.store is not None:
             self.store.close()
@@ -816,7 +807,6 @@ class AllocationService:
             "version": __version__,
             "uptime_s": time.monotonic() - self._started_monotonic,
             "pid": os.getpid(),
-            "workers": self.pool.workers,
             "campaign_workers": self.pool.campaign_workers,
             "store": None if self.store is None else self.store.path,
             "engines": len(self.registry),
@@ -828,7 +818,7 @@ class AllocationService:
         Counts are JSON integers (the families hold floats); latencies
         and busy times are milliseconds.
         """
-        cache, pool, store = self.cache, self.pool, self.store
+        cache, store = self.cache, self.store
         hits = int(cache.lookups.value(result="hit"))
         misses = int(cache.lookups.value(result="miss"))
 
@@ -847,7 +837,6 @@ class AllocationService:
             for (outcome,) in self.allocation_seconds.label_values()
         }
         solve = by_outcome.get("solve") or outcome_doc("solve")
-        usage = pool.usage()
         return {
             "cache": {
                 "entries": len(cache),
@@ -871,13 +860,8 @@ class AllocationService:
             },
             "engines": len(self.registry),
             "pool": {
-                "workers": pool.workers,
-                "campaign_workers": pool.campaign_workers,
-                "tasks": usage["tasks"],
-                "requests": usage["requests"],
-                "busy_ms": usage["busy_ms"],
-                "campaigns": int(pool.campaigns_run.value()),
-                "per_worker": usage["per_worker"],
+                "campaign_workers": self.pool.campaign_workers,
+                "campaigns": int(self.pool.campaigns_run.value()),
             },
             "campaigns": self._campaign_counts(),
             "slo": self.slo.to_json_dict(),
@@ -931,16 +915,18 @@ class AllocationService:
         except StoreError:
             pass  # observability must never take the service down
 
-    def _live_cluster_snapshots(self) -> List[Dict[str, Any]]:
-        """Fresh decoded snapshots, this process's own published first.
+    def _peer_snapshots(self) -> List[Dict[str, Any]]:
+        """Decoded live snapshots of every *other* process in the store.
 
-        Publishing before reading makes the serving process's own data
-        deterministic in every cluster answer (no waiting on the 2 s
-        publisher beat) and bounds staleness of the rest at the TTL.
+        Cluster reads put this process's own snapshot beside them, built
+        in memory: its data is current (no waiting on the 2 s publisher
+        beat) and a read writes nothing to the store.  The peers' are at
+        most one beat stale; dead ones age out at the TTL.
         """
-        self.publish_observability()
         payloads: List[Dict[str, Any]] = []
-        for _proc, raw, _published_at in self.store.live_snapshots():
+        for proc, raw, _published_at in self.store.live_snapshots():
+            if proc == self.proc:
+                continue  # stale: the caller holds the live one
             try:
                 payloads.append(obs_cluster.decode_snapshot(raw))
             except (ValueError, UnicodeDecodeError):
@@ -953,7 +939,8 @@ class AllocationService:
             raise ValueError(
                 "scope=cluster requires a durable store (repro serve --store)"
             )
-        return obs_cluster.render_cluster(self._live_cluster_snapshots())
+        own = obs_cluster.build_snapshot(self.metrics, self.slo, proc=self.proc)
+        return obs_cluster.render_cluster([own, *self._peer_snapshots()])
 
     def cluster_stats_doc(self) -> Dict[str, Any]:
         """``GET /stats?scope=cluster``: per-proc stats, merged SLOs, jobs.
@@ -966,7 +953,10 @@ class AllocationService:
             raise ValueError(
                 "scope=cluster requires a durable store (repro serve --store)"
             )
-        doc = obs_cluster.cluster_stats(self._live_cluster_snapshots())
+        own = obs_cluster.build_snapshot(
+            self.metrics, self.slo, stats=self.stats(), proc=self.proc
+        )
+        doc = obs_cluster.cluster_stats([own, *self._peer_snapshots()])
         jobs: List[Dict[str, Any]] = []
         for campaign_id, record in sorted(self.store.jobs().items()):
             if record.status not in ("queued", "running"):

@@ -39,6 +39,7 @@ is preserved (each cell's device simulator re-seeds from the same
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
 from dataclasses import replace
@@ -48,6 +49,7 @@ from repro.harvesting.solar_cell import HarvestScenario
 from repro.harvesting.traces import SolarTrace
 from repro.obs import tracing
 from repro.obs.profiling import PhaseProfiler
+from repro.service.pool import exit_with_parent
 from repro.simulation.fleet import CampaignConfig, FleetCampaign, FleetResult
 from repro.simulation.metrics import CampaignColumns, CampaignResult
 from repro.simulation.policies import Policy
@@ -341,7 +343,11 @@ def _run_all_on_workers(
     if executor is not None:
         return collect([executor.submit(fn, *args) for args in argument_tuples])
     workers = max(1, min(jobs, len(argument_tuples)))
-    with ProcessPoolExecutor(max_workers=workers) as own:
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=exit_with_parent,
+        initargs=(os.getpid(),),
+    ) as own:
         return collect([own.submit(fn, *args) for args in argument_tuples])
 
 

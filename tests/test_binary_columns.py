@@ -214,8 +214,8 @@ class TestBinaryColumnsHttp:
     @pytest.fixture(scope="class")
     def server(self, points, store):
         service = AllocationService(
-            default_points=points, window_s=0.001, workers=2,
-            campaign_workers=2, store=store,
+            default_points=points, window_s=0.001, campaign_workers=2,
+            store=store,
         )
         handle = start_in_thread(service)
         yield handle

@@ -121,12 +121,10 @@ class TestFleetCommand:
 class TestServeAndRemoteFleet:
     def test_serve_parser_worker_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.workers == 1
-        assert args.campaign_workers is None
-        args = build_parser().parse_args(
-            ["serve", "--workers", "4", "--campaign-workers", "2"]
-        )
-        assert (args.workers, args.campaign_workers) == (4, 2)
+        assert args.campaign_workers == 1
+        assert not hasattr(args, "workers")
+        args = build_parser().parse_args(["serve", "--campaign-workers", "2"])
+        assert args.campaign_workers == 2
 
     def test_fleet_remote_rejects_jobs(self, capsys):
         assert main([

@@ -513,7 +513,6 @@ class TestHttpObservability:
         service = AllocationService(
             default_points=points,
             window_s=0.001,
-            workers=2,
             slo_ms={"allocate": 25.0, "campaign": 5000.0},
         )
         handle = start_in_thread(service)

@@ -6,7 +6,8 @@ Three layers of coverage:
   empty input, a property test pins the pooled-quantile bounds, and the
   cluster exposition keeps per-process series under ``proc`` labels;
 - store behaviour: snapshot TTL/dead-pid expiry, span ring persistence,
-  and the per-job events timeline;
+  and the per-job events timeline; a cluster read is current for the
+  answering process without writing the store;
 - end-to-end subprocess tests in the :mod:`test_restart_resume` style:
   ``--procs 2`` cluster scrapes equal the sum of per-process scrapes,
   the events timeline survives SIGKILL/restart with lease owners, and a
@@ -15,6 +16,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import socket
@@ -37,7 +39,8 @@ from repro.obs.cluster import (
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import SloTracker, merged_burn_rates
-from repro.service.requests import CampaignRequest
+from repro.service.requests import AllocationRequest, CampaignRequest
+from repro.service.server import AllocationService
 from repro.service.store import CampaignStore
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -220,6 +223,29 @@ class TestStoreObservability:
         )
         store.close()
 
+    def test_cluster_reads_are_current_and_write_nothing(self, tmp_path):
+        service = AllocationService(store=str(tmp_path / "jobs.db"))
+        try:
+            # One beat stores a snapshot; the traffic after it is newer.
+            service.publish_observability()
+            asyncio.run(service.allocate(AllocationRequest(5.0)))
+            service.observe_request("POST /allocate", 0.002, 200)
+            text = service.cluster_metrics_text()
+            doc = service.cluster_stats_doc()
+            published = service.store.snapshots_published.value()
+        finally:
+            service.close()
+        assert published == 1
+        # This process appears once, with the request it just served,
+        # and not a second time from its stored (stale) row.
+        assert "repro_cluster_frontends 1" in text
+        assert _parse_counter(
+            text, "repro_requests_total",
+            endpoint="POST /allocate", proc=service.proc,
+        ) == 1
+        assert list(doc["procs"]) == [service.proc]
+        assert doc["procs"][service.proc]["latency"]["solves"] == 1
+
 
 # --- end-to-end: --procs 2, SIGKILL, cross-process traces -------------------------
 REQUEST = CampaignRequest(hours=96, alphas=(1.0,), baselines=("DP1",))
@@ -254,13 +280,13 @@ def _get(port, path, headers=None):
     request = urllib.request.Request(
         f"http://127.0.0.1:{port}{path}", headers=headers or {}
     )
-    return json.loads(urllib.request.urlopen(request).read())
+    with urllib.request.urlopen(request) as response:
+        return json.loads(response.read())
 
 
 def _get_text(port, path):
-    return urllib.request.urlopen(
-        f"http://127.0.0.1:{port}{path}"
-    ).read().decode()
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}") as response:
+        return response.read().decode()
 
 
 def _submit(port, request):
@@ -269,7 +295,8 @@ def _submit(port, request):
         f"http://127.0.0.1:{port}/v1/campaign", data=body,
         headers={"Content-Type": "application/json"}, method="POST",
     )
-    return json.loads(urllib.request.urlopen(raw).read())
+    with urllib.request.urlopen(raw) as response:
+        return json.loads(response.read())
 
 
 def _wait_done(port, campaign_id, timeout_s=120.0):
@@ -374,7 +401,8 @@ class TestClusterScrapes:
             while time.monotonic() < deadline and len(answers) < 2:
                 try:
                     doc = _get(port, f"/v1/trace/{trace_id}")
-                except urllib.error.HTTPError:
+                except urllib.error.HTTPError as error:
+                    error.close()
                     time.sleep(0.2)
                     continue
                 spans = doc["spans"]
@@ -427,6 +455,7 @@ class TestEventsTimelineDurability:
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(port, "/v1/campaign/c999/events")
+            excinfo.value.close()
             assert excinfo.value.code == 404
         finally:
             proc.kill()

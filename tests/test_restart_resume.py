@@ -9,14 +9,18 @@ honest way to test "the campaign id survives SIGKILL":
   (no re-run of journaled shards);
 - run ``--procs 2`` front-ends on one SO_REUSEPORT port against one
   store and require both processes to answer, the job to complete with
-  no double-run shards, and a clean SIGTERM teardown.
+  no double-run shards, and a clean SIGTERM teardown;
+- SIGKILL a ``--procs 2`` supervisor, or a server with campaign workers,
+  and require every child it started to exit within seconds.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
+import socket
 import sqlite3
 import subprocess
 import sys
@@ -62,9 +66,8 @@ def _serve(tmp_path, *extra_args):
 
 
 def _get(port, path):
-    return json.loads(
-        urllib.request.urlopen(f"http://127.0.0.1:{port}{path}").read()
-    )
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}") as response:
+        return json.loads(response.read())
 
 
 def _submit(port, request):
@@ -73,7 +76,8 @@ def _submit(port, request):
         f"http://127.0.0.1:{port}/v1/campaign", data=body,
         headers={"Content-Type": "application/json"}, method="POST",
     )
-    return json.loads(urllib.request.urlopen(raw).read())
+    with urllib.request.urlopen(raw) as response:
+        return json.loads(response.read())
 
 
 def _wait_done(port, campaign_id, timeout_s=120.0):
@@ -113,6 +117,42 @@ def _shard_count(store_path):
             connection.close()
     except sqlite3.Error:
         return 0
+
+
+def _proc_stat(pid):
+    """(state, ppid) from ``/proc/<pid>/stat``, or ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _running(pid):
+    """Whether ``pid`` still runs; a zombie counts as exited."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _children(pid):
+    """Pids of the running processes whose parent is ``pid``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        stat = _proc_stat(entry) if entry.isdigit() else None
+        if stat is not None and stat[1] == pid and stat[0] != "Z":
+            children.append(int(entry))
+    return children
+
+
+def _still_running(pids, timeout_s=5.0):
+    """The pids still running once ``timeout_s`` has passed (or none)."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        running = [pid for pid in pids if _running(pid)]
+        if not running or time.monotonic() > deadline:
+            return running
+        time.sleep(0.05)
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +276,79 @@ class TestMultiProcessFrontend:
         _stdout, stderr = proc.communicate(timeout=30)
         assert proc.returncode == 2
         assert b"--store" in stderr
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc") or not hasattr(socket, "SO_REUSEPORT"),
+    reason="needs /proc and SO_REUSEPORT",
+)
+class TestChildrenExitWithParent:
+    def test_sigkilled_supervisor_takes_its_frontends_down(self, tmp_path):
+        proc, port = _serve(
+            tmp_path, "--store", str(tmp_path / "jobs.db"), "--procs", "2"
+        )
+        try:
+            frontends = set()
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and len(frontends) < 2:
+                frontends.add(_get(port, "/v1/healthz")["pid"])
+            assert len(frontends) == 2
+            children = _children(proc.pid)
+            assert frontends <= set(children)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        # The front-ends, and the resource tracker they shared with the
+        # supervisor, exit on their own; the port goes with them.
+        assert _still_running(children) == []
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
+    def test_sigkilled_server_takes_its_campaign_workers_down(self, tmp_path):
+        proc, port = _serve(tmp_path, "--campaign-workers", "2")
+        try:
+            submitted = _submit(
+                port,
+                CampaignRequest(hours=24, alphas=(1.0,), baselines=("DP1",)),
+            )
+            status = _wait_done(port, submitted["campaign_id"])
+            assert status["status"] == "done"
+            workers = _children(proc.pid)
+            assert len(workers) >= 2
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        assert _still_running(workers) == []
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="forkserver start method not available",
+    )
+    def test_sigkilled_owner_takes_its_forkserver_workers_down(self):
+        # A fork server's workers are not children of the pool's owner, and
+        # the fork server outlives it for as long as they run.
+        script = (
+            "import multiprocessing, os, signal\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from repro.service.pool import _init_campaign_worker\n"
+            "pool = ProcessPoolExecutor(\n"
+            "    2, mp_context=multiprocessing.get_context('forkserver'),\n"
+            "    initializer=_init_campaign_worker,\n"
+            "    initargs=(None, os.getpid()))\n"
+            "futures = [pool.submit(os.getpid) for _ in range(8)]\n"
+            "print(*sorted({future.result() for future in futures}), flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE
+        )
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.wait(timeout=60)
+            proc.stdout.close()
+        assert proc.returncode == -signal.SIGKILL
+        assert workers
+        assert _still_running(workers) == []

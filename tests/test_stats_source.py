@@ -4,9 +4,10 @@ Drives one :class:`AllocationService` through single allocates, an
 ``allocate_many`` burst with cache hits and a store-backed campaign, then
 checks that the ``/stats`` document keeps its key tree, that every count
 in it equals the matching sample of ``metrics.render()``, and that the
-exposition still carries the 25 families (name, kind, label names) its
-scrapers know.  Also covers the per-request accounting of bursts and the
-cross-thread read of retained campaign jobs.
+exposition still carries the 24 families (name, kind, label names) its
+scrapers know.  Also covers the per-request accounting of bursts, the
+event-loop busy time of the batcher and the cross-thread read of retained
+campaign jobs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import time
 import pytest
 
 from repro.data.table2 import table2_design_points
+from repro.service.client import _proc_row, format_stats_summary
 from repro.service.requests import AllocationRequest, CampaignRequest
 from repro.service.server import AllocationService, CampaignJob
 
@@ -38,8 +40,7 @@ FAMILIES = {
     "repro_cache_entries": ("gauge", set()),
     "repro_batcher_requests_total": ("counter", set()),
     "repro_batcher_batches_total": ("counter", set()),
-    "repro_pool_tasks_total": ("counter", set()),
-    "repro_pool_busy_seconds_total": ("counter", set()),
+    "repro_batcher_solve_seconds": ("histogram", set()),
     "repro_pool_workers": ("gauge", {"kind"}),
     "repro_engines": ("gauge", set()),
     "repro_campaigns": ("gauge", {"status"}),
@@ -103,11 +104,8 @@ def json_counts(stats):
           for label, doc in stats["endpoints"].items()),
         ("engines", stats["engines"]),
         *(("pool." + key, pool[key]) for key in (
-            "workers", "campaign_workers", "tasks", "requests", "campaigns"
+            "campaign_workers", "campaigns"
         )),
-        *((f"pool.{worker}.{key}", doc[key])
-          for worker, doc in pool["per_worker"].items()
-          for key in ("tasks", "requests")),
         *((f"campaigns.{status}", count)
           for status, count in stats["campaigns"].items()),
         *((f"slo.{key}.{field}", doc[field])
@@ -151,8 +149,8 @@ def observed(tmp_path_factory):
         service.observe_request("POST /allocate/batch", 0.040, 200)
 
     service = AllocationService(
-        default_points=points, window_s=0.001, workers=2,
-        campaign_workers=1, store=str(store_path),
+        default_points=points, window_s=0.001, campaign_workers=1,
+        store=str(store_path),
     )
     try:
         asyncio.run(traffic(service))
@@ -175,6 +173,7 @@ class TestOneStatsSource:
         }
         assert set(stats["batcher"]) == {
             "requests", "batches", "largest_batch", "mean_batch_size",
+            "busy_ms", "max_solve_ms",
         }
         assert set(stats["latency"]) == {
             "solves", "mean_ms", "max_ms", "by_outcome",
@@ -189,13 +188,7 @@ class TestOneStatsSource:
             assert set(doc) == {
                 "count", "mean_ms", "max_ms", "p50_ms", "p95_ms", "p99_ms",
             }
-        assert set(stats["pool"]) == {
-            "workers", "campaign_workers", "tasks", "requests", "busy_ms",
-            "campaigns", "per_worker",
-        }
-        assert stats["pool"]["per_worker"]
-        for doc in stats["pool"]["per_worker"].values():
-            assert set(doc) == {"tasks", "requests", "busy_ms"}
+        assert set(stats["pool"]) == {"campaign_workers", "campaigns"}
         assert stats["campaigns"] == {"done": 1}
         assert set(stats["slo"]) == {"target", "objectives"}
         for doc in stats["slo"]["objectives"].values():
@@ -218,7 +211,7 @@ class TestOneStatsSource:
             assert type(value) is int, (path, value)
 
     def test_every_count_equals_its_exposition_sample(self, observed):
-        stats, text, _ = observed
+        stats, text, service = observed
         _, _, values = parse_exposition(text)
         cache, batcher, latency, pool = (
             stats["cache"], stats["batcher"], stats["latency"], stats["pool"]
@@ -236,7 +229,15 @@ class TestOneStatsSource:
         ) == sample(values, "repro_batcher_batch_size_sum")
         assert batcher["batches"] == sample(
             values, "repro_batcher_batches_total"
-        ) == sample(values, "repro_batcher_batch_size_count")
+        ) == sample(values, "repro_batcher_batch_size_count") == sample(
+            values, "repro_batcher_solve_seconds_count"
+        )
+        assert batcher["busy_ms"] == pytest.approx(
+            1000.0 * sample(values, "repro_batcher_solve_seconds_sum")
+        )
+        # The exposition has no max series; the family holds it.
+        _, _, max_solve_s = service.batcher.solve_seconds.totals()
+        assert batcher["max_solve_ms"] == 1000.0 * max_solve_s
         assert latency["solves"] == sample(
             values, "repro_allocations_total", outcome="solve"
         )
@@ -252,27 +253,10 @@ class TestOneStatsSource:
                 endpoint=endpoint,
             )
         assert stats["engines"] == sample(values, "repro_engines")
-        assert pool["workers"] == sample(
-            values, "repro_pool_workers", kind="engine"
-        )
         assert pool["campaign_workers"] == sample(
             values, "repro_pool_workers", kind="campaign"
         )
-        assert pool["tasks"] == sample(values, "repro_pool_tasks_total")
-        assert pool["busy_ms"] == pytest.approx(
-            1000.0 * sample(values, "repro_pool_busy_seconds_total")
-        )
         assert pool["campaigns"] == sample(values, "repro_pool_campaigns_total")
-        for worker, doc in pool["per_worker"].items():
-            assert doc["tasks"] == sample(
-                values, "repro_pool_task_seconds_count", worker=worker
-            )
-            assert doc["requests"] == sample(
-                values, "repro_pool_requests_total", worker=worker
-            )
-        assert pool["requests"] == sum(
-            doc["requests"] for doc in pool["per_worker"].values()
-        )
         for status, count in stats["campaigns"].items():
             assert count == sample(values, "repro_campaigns", status=status)
         for key, doc in stats["slo"]["objectives"].items():
@@ -305,7 +289,7 @@ class TestOneStatsSource:
         assert stats["latency"]["solves"] == 41
         assert stats["batcher"]["requests"] == 41
         assert stats["batcher"]["largest_batch"] == 40
-        assert stats["pool"]["requests"] == 41
+        assert stats["batcher"]["busy_ms"] > 0
         assert stats["pool"]["campaigns"] == 1
         assert stats["store"]["results_reloaded"] == 1
         assert stats["store"]["snapshots_published"] == 1
@@ -361,6 +345,26 @@ class TestBurstAccounting:
         # One clock tick per lookup: the k-th hit does not carry the k - 1
         # lookups before it.
         assert (count, total, largest) == (5, 5.0, 1.0)
+
+
+class TestBusyTime:
+    def test_one_default_solve_records_busy_time(self):
+        """At the default config the batcher solves inline, and its busy
+        time is what ``/stats``, ``repro top`` and the summary read."""
+        service = AllocationService()
+        try:
+            asyncio.run(service.allocate(AllocationRequest(5.0)))
+            stats = service.stats()
+        finally:
+            service.close()
+        batcher = stats["batcher"]
+        assert batcher["batches"] == 1
+        assert batcher["busy_ms"] > 0
+        assert batcher["max_solve_ms"] == batcher["busy_ms"]
+        assert _proc_row("self", stats)["util"] > 0
+        assert (
+            f"busy {batcher['busy_ms']:.1f}ms" in format_stats_summary(stats)
+        )
 
 
 class TestCrossThreadReads:
