@@ -13,11 +13,12 @@ Two measurements back the service's design claims:
    agree with every scalar objective to 1e-9.
 
 2. **Sharded fleet campaigns.**  A multi-week (scenario x policy) closed-
-   loop campaign grid is run single-process and sharded across 4 worker
-   processes via :func:`repro.service.shard.run_sharded_campaign`; the
-   merged results must agree to 1e-9 on every per-period objective and on
-   the battery trajectories (wall times for both are reported -- process
-   start-up dominates at this problem size, the guarantee of interest is
+   loop campaign grid is run in one ``FleetCampaign.run`` and on a
+   :class:`~repro.service.pool.WorkerPool` of 4 campaign workers (one
+   block of scenarios x policies per worker); the merged results must
+   agree to 1e-9 on every per-period objective and on the battery
+   trajectories (wall times for both are reported -- process start-up
+   dominates at this problem size, the guarantee of interest is
    exactness).
 
 The CI bench-gate job shrinks the workloads through the ``REPRO_BENCH_*``
@@ -42,9 +43,8 @@ from repro.core.problem import ReapProblem
 from repro.harvesting.solar import SyntheticSolarModel
 from repro.harvesting.solar_cell import HarvestScenario, SolarCellModel
 from repro.harvesting.traces import SolarTrace
-from repro.service import AllocationRequest, AllocationService
-from repro.service.shard import run_sharded_campaign
-from repro.simulation.fleet import CampaignConfig
+from repro.service import AllocationRequest, AllocationService, WorkerPool
+from repro.simulation.fleet import CampaignConfig, FleetCampaign
 from repro.simulation.policies import ReapPolicy, StaticPolicy
 
 NUM_REQUESTS = int(os.environ.get("REPRO_BENCH_SERVICE_REQUESTS", "256"))
@@ -53,7 +53,7 @@ REQUIRED_SPEEDUP = 10.0
 #: Alternating (scalar, coalesced) timed pairs; the gate reads their
 #: median ratio, so one noisy run cannot decide it.
 COALESCED_PAIRS = 10
-SHARD_JOBS = 4
+SHARD_WORKERS = 4
 SHARD_HOURS = int(os.environ.get("REPRO_BENCH_SHARD_HOURS", "336"))
 
 
@@ -148,7 +148,7 @@ def test_coalesced_service_speedup_over_sequential_scalar(
 
 @pytest.mark.benchmark(group="service")
 def test_sharded_campaign_matches_single_process(output_dir, published_points):
-    """Sharded (--jobs 4) fleet campaign: exact agreement, wall times reported."""
+    """Fleet campaign on 4 pool workers: exact agreement, wall times reported."""
     points = tuple(published_points)
     trace = SyntheticSolarModel(seed=2015).generate_month(9)
     trace = SolarTrace(trace.hours[:SHARD_HOURS], name=trace.name)
@@ -161,13 +161,12 @@ def test_sharded_campaign_matches_single_process(output_dir, published_points):
     config = CampaignConfig(use_battery=True)
 
     started = time.perf_counter()
-    single = run_sharded_campaign(scenarios, policies, trace, config, jobs=1)
+    single = FleetCampaign(scenarios, config).run(policies, trace)
     single_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    sharded = run_sharded_campaign(
-        scenarios, policies, trace, config, jobs=SHARD_JOBS
-    )
+    with WorkerPool(campaign_workers=SHARD_WORKERS) as pool:
+        sharded = pool.run_campaign(scenarios, policies, trace, config)
     sharded_s = time.perf_counter() - started
 
     for scenario_index, policy_index, cell in sharded:
@@ -185,12 +184,12 @@ def test_sharded_campaign_matches_single_process(output_dir, published_points):
     result = ExperimentResult(
         name=(
             f"Sharded fleet campaign: {len(scenarios)}x{len(policies)} grid "
-            f"over {len(trace)} hours, {SHARD_JOBS} jobs vs 1"
+            f"over {len(trace)} hours, {SHARD_WORKERS} workers vs 1"
         ),
         headers=["path", "wall_ms", "cells"],
         rows=[
             ["single process", single_s * 1e3, single.num_cells],
-            [f"{SHARD_JOBS} worker processes", sharded_s * 1e3,
+            [f"{SHARD_WORKERS} worker processes", sharded_s * 1e3,
              sharded.num_cells],
         ],
     )

@@ -8,8 +8,10 @@ campaign wall-clock** -- journaling rides the shard boundaries, far off
 the per-period simulation hot path.
 
 The measurement runs the same multi-week closed-loop campaign twice
-through the identical durable execution path (cell-sharded, two worker
-processes), interleaved best-of-three:
+through the identical durable execution path (a
+:class:`~repro.service.pool.WorkerPool` of two campaign workers, one
+block of scenarios x policies each, started and shut down inside every
+timed run), interleaved best-of-three:
 
 - **plain**: the shard-completion hook is a no-op -- durable plumbing,
   zero persistence;
@@ -46,14 +48,14 @@ from repro.analysis.experiments import ExperimentResult
 from repro.harvesting.solar import SyntheticSolarModel
 from repro.harvesting.solar_cell import HarvestScenario, SolarCellModel
 from repro.harvesting.traces import SolarTrace
-from repro.service.shard import run_sharded_campaign
+from repro.service.pool import WorkerPool
 from repro.service.store import CampaignStore
 from repro.service.requests import CampaignRequest
-from repro.simulation.fleet import CampaignConfig
+from repro.simulation.fleet import CampaignConfig, FleetCampaign
 from repro.simulation.policies import ReapPolicy, StaticPolicy
 
 STORE_HOURS = int(os.environ.get("REPRO_BENCH_STORE_HOURS", "336"))
-STORE_JOBS = 2
+STORE_WORKERS = 2
 #: Journaled wall time over plain wall time: >= 0.9 keeps the journal
 #: under ~11% of campaign wall-clock (the <10% claim plus runner noise).
 REQUIRED_SPEEDUP = 0.9
@@ -95,17 +97,18 @@ def test_journaling_overhead_within_bound(
     scenarios, labels, policies, trace = _campaign(points)
     config = CampaignConfig(use_battery=True)
 
-    single = run_sharded_campaign(
-        scenarios, policies, trace, config, scenario_labels=labels, jobs=1
+    single = FleetCampaign(scenarios, config, scenario_labels=labels).run(
+        policies, trace
     )
 
     def timed_plain():
         started = time.perf_counter()
-        result = run_sharded_campaign(
-            scenarios, policies, trace, config,
-            scenario_labels=labels, jobs=STORE_JOBS,
-            on_shard_done=lambda cells: None,
-        )
+        with WorkerPool(campaign_workers=STORE_WORKERS) as pool:
+            result = pool.run_campaign(
+                scenarios, policies, trace, config,
+                scenario_labels=labels,
+                on_shard_done=lambda cells: None,
+            )
         return time.perf_counter() - started, result
 
     def timed_journaled(run_index: int):
@@ -119,11 +122,12 @@ def test_journaling_overhead_within_bound(
         started = time.perf_counter()
         job_id, _created = store.submit(request)
         store.start(job_id, trace_hours=len(trace))
-        result = run_sharded_campaign(
-            scenarios, policies, trace, config,
-            scenario_labels=labels, jobs=STORE_JOBS,
-            on_shard_done=lambda cells: store.shard_done(job_id, cells),
-        )
+        with WorkerPool(campaign_workers=STORE_WORKERS) as pool:
+            result = pool.run_campaign(
+                scenarios, policies, trace, config,
+                scenario_labels=labels,
+                on_shard_done=lambda cells: store.shard_done(job_id, cells),
+            )
         store.finish(job_id, result)
         elapsed = time.perf_counter() - started
         return elapsed, result, store, job_id

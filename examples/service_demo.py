@@ -15,16 +15,16 @@ loop), then plays a device fleet against it:
 2. a **repeat wave** re-asking the same questions -- every answer now comes
    straight from the LRU result cache (the canonical problem encoding is
    permutation-invariant, so equivalent requests share entries);
-3. a ``GET /stats`` call showing the cache hit rate, how many batches the
+3. a ``GET /v1/stats`` call showing the cache hit rate, how many batches the
    coalescer dispatched and how long the event loop spent solving them,
    and the solve latency profile.
 
 Remote campaigns
 ----------------
 With ``--campaign``, the demo also submits a whole fleet study over HTTP
-(``POST /campaign``), polls ``GET /campaign/<id>`` until the service's
+(``POST /v1/campaign``), polls ``GET /v1/campaign/<id>`` until the service's
 process workers finish it, streams the full per-period columns back as
-chunked NDJSON (``GET /campaign/<id>/columns``), and rebuilds the
+chunked NDJSON (``GET /v1/campaign/<id>/columns``), and rebuilds the
 :class:`~repro.simulation.fleet.FleetResult` client-side -- equal to a
 local :class:`~repro.simulation.fleet.FleetCampaign` run to 1e-9.  The
 same flow from the shell::
@@ -34,7 +34,7 @@ same flow from the shell::
     python -m repro.service.client --port 8734 campaign run --hours 48
 
 With ``--binary`` the columns come back as the length-prefixed binary
-columnar frames instead (``GET /campaign/<id>/columns?format=binary``,
+columnar frames instead (``GET /v1/campaign/<id>/columns?format=binary``,
 ~5x smaller at float64, ~8x at float32) -- same decoded result.  Add
 ``codec=raw`` to the query (``--codec raw`` on the client CLI) and the
 server streams the frames uncompressed, as zero-copy ``memoryview``
@@ -47,9 +47,7 @@ every error is a uniform envelope ``{"error": {"code", "message",
 explicit ``queued -> running -> done | failed | cancelled`` lifecycle,
 and ``POST /v1/campaign`` honours an ``Idempotency-Key`` header so a
 retried submission returns the original job instead of a duplicate run.
-The pre-versioning paths still answer through a shim that adds
-``Deprecation: true`` and a ``Link: ...; rel="successor-version"``
-header.
+Every route lives under ``/v1``; any other path answers 404.
 
 Kill-and-recover: the durable store
 -----------------------------------
@@ -79,19 +77,21 @@ any process answers ``GET /v1/campaign/<id>`` for any job.
 
 Sharded campaigns
 -----------------
-Campaigns sharded across process workers (``--campaign-workers N`` here,
-``--jobs N`` on ``python -m repro fleet``) move their data over the
-executor pipe by pickle, and reproduce the single-process run to 1e-9 --
-including sampled-mode RNG streams, bit for bit.  The campaign context
-(trace, config, policies) is pickled once per campaign and unpickled once
-per worker, not once per task.
+A campaign on ``--campaign-workers N`` process workers runs as one shard
+per worker: a block of contiguous scenarios x policies that one lockstep
+scan simulates.  The shards move their data over the executor pipe by
+pickle and reproduce the single-process run to 1e-9 -- including
+sampled-mode RNG streams, bit for bit.  The campaign context (trace,
+config, policies) is pickled once per campaign and unpickled once per
+worker, not once per task.  ``python -m repro fleet`` always runs the
+grid in one process, as one scan.
 
 Observing the service
 ---------------------
 Everything the service does is observable without third-party tooling
 (:mod:`repro.obs`):
 
-* **Metrics.**  ``GET /metrics`` renders the Prometheus text exposition:
+* **Metrics.**  ``GET /v1/metrics`` renders the Prometheus text exposition:
   request counters by endpoint and status, cache/batcher/pool counters,
   log2-bucketed latency histograms per endpoint, per-phase campaign
   timings (``repro_campaign_phase_seconds``), and SLO burn rates.  The
@@ -106,7 +106,7 @@ Everything the service does is observable without third-party tooling
   and campaign process workers ship ``campaign.shard`` spans back over
   the executor pipe -- one trace id follows the request across threads
   *and* processes.  ``GET
-  /trace/<id>`` returns the recorded spans; the demo follows one below.
+  /v1/trace/<id>`` returns the recorded spans; the demo follows one below.
   ``python -m repro serve --log-format json`` additionally emits every
   span and request log as one JSON object per line, trace ids included.
 * **SLOs.**  ``--slo-ms allocate=5,campaign=500`` (on ``repro serve`` or
@@ -295,7 +295,7 @@ def main() -> None:
                              "columnar frames instead of NDJSON")
     parser.add_argument("--campaign-workers", type=int, default=1,
                         help="process workers for --campaign fleet studies "
-                             "(N > 1 shards the grid across processes)")
+                             "(N > 1 runs one block of the grid per worker)")
     parser.add_argument("--durable", action="store_true",
                         help="also run the kill-and-recover walkthrough: "
                              "SIGKILL a --store server mid-campaign and "

@@ -7,7 +7,7 @@
 #   scripts/ci_serve.sh stop
 #
 # The service binds an ephemeral port (--port 0 --port-file) and `start`
-# returns only once GET /healthz answers, so callers never need nohup or
+# returns only once GET /v1/healthz answers, so callers never need nohup or
 # sleep loops.  State (pid/port/log) lives under ${CI_SERVE_DIR:-.ci-serve}.
 set -euo pipefail
 

@@ -411,7 +411,6 @@ def run_fleet_campaign_experiment(
     seed: int = 2015,
     hours: Optional[int] = None,
     use_battery: bool = True,
-    jobs: int = 1,
     planners: Sequence[str] = (),
     horizon_periods: int = 24,
     forecast: str = "perfect",
@@ -428,12 +427,7 @@ def run_fleet_campaign_experiment(
     :class:`~repro.simulation.policies.PlanningPolicy` per named planner
     (``"horizon"`` / ``"mpc"``) at every alpha, all using the given
     lookahead and forecast provider.  One row per (scenario, policy) cell.
-    ``jobs > 1`` shards the grid across worker processes via
-    :func:`repro.service.shard.run_sharded_campaign`; the merged rows match
-    the single-process run to floating-point round-off.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if planners and not use_battery:
         # Open-loop budgets are the harvest itself -- a planning policy
         # would silently collapse to plain REAP and mislabel its rows.
@@ -474,26 +468,12 @@ def run_fleet_campaign_experiment(
             for planner in planners
         )
 
-    if jobs > 1:
-        # Imported lazily: the service layer sits above analysis and is only
-        # needed when the caller actually asks for process sharding.
-        from repro.service.shard import run_sharded_campaign
-
-        result = run_sharded_campaign(
-            scenarios,
-            policies,
-            trace,
-            CampaignConfig(use_battery=use_battery),
-            scenario_labels=labels,
-            jobs=jobs,
-        )
-    else:
-        fleet = FleetCampaign(
-            scenarios,
-            CampaignConfig(use_battery=use_battery),
-            scenario_labels=labels,
-        )
-        result = fleet.run(policies, trace)
+    fleet = FleetCampaign(
+        scenarios,
+        CampaignConfig(use_battery=use_battery),
+        scenario_labels=labels,
+    )
+    result = fleet.run(policies, trace)
 
     return fleet_experiment_result(
         result,
@@ -503,7 +483,6 @@ def run_fleet_campaign_experiment(
             f"({'battery-backed' if use_battery else 'open loop'})"
         ),
         use_battery=use_battery,
-        jobs=jobs,
     )
 
 
@@ -511,7 +490,6 @@ def fleet_experiment_result(
     result,
     name: str,
     use_battery: bool = True,
-    jobs: int = 1,
 ) -> ExperimentResult:
     """Tabulate a :class:`~repro.simulation.fleet.FleetResult` as a report.
 
@@ -557,7 +535,6 @@ def fleet_experiment_result(
             "num_cells": result.num_cells,
             "trace_hours": result.trace_hours,
             "use_battery": use_battery,
-            "jobs": jobs,
         },
     )
 

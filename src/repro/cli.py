@@ -10,7 +10,6 @@ Exposes the experiment harness without writing any Python::
     python -m repro sweep --alphas 0.5 1 2 --points 200   # batched alpha grid
     python -m repro run grid --points 200           # budget x alpha grid CSV
     python -m repro fleet --alphas 1 2 --exposures 0.032 0.05   # fleet study
-    python -m repro fleet --jobs 4                  # shard the grid across processes
     python -m repro serve --port 8734               # JSON-over-HTTP allocation service
 
 Heavyweight experiments (``table2``, ``figure3``) accept ``--windows`` to
@@ -111,8 +110,7 @@ COMMANDS: Dict[str, str] = {
     "allocate": "solve a single one-hour allocation",
     "sweep": "objective sweep over budgets (batch or scalar engine)",
     "fleet": "closed-loop fleet study; --planners adds forecast-driven "
-             "planning policies, --jobs N shards the grid across "
-             "processes, --remote HOST:PORT submits it to a service "
+             "planning policies, --remote HOST:PORT submits it to a service "
              "(--binary fetches compact binary columns), --profile "
              "writes per-phase timings to JSON",
     "plan": "single-device horizon study: forecast-driven planning "
@@ -288,13 +286,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
         )
         return 2
     if args.remote:
-        if args.jobs != 1:
-            print(
-                "--jobs shards a local run; the remote server picks its own "
-                "worker count (drop --jobs or --remote)",
-                file=sys.stderr,
-            )
-            return 2
         return _command_fleet_remote(args)
     if args.binary:
         print(
@@ -311,7 +302,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         hours=args.hours,
         use_battery=not args.open_loop,
-        jobs=args.jobs,
         planners=args.planners,
         horizon_periods=args.horizon,
         forecast=args.forecast,
@@ -319,11 +309,10 @@ def _command_fleet(args: argparse.Namespace) -> int:
         forecast_seed=args.forecast_seed,
     )
     print(result.to_text())
-    engine = (
-        f"sharded fleet engine ({args.jobs} jobs)" if args.jobs > 1
-        else "fleet engine"
+    print(
+        f"\n{result.extras['num_cells']} campaign cells simulated by the "
+        "fleet engine"
     )
-    print(f"\n{result.extras['num_cells']} campaign cells simulated by the {engine}")
     if args.profile:
         _write_profile(
             args.profile,
@@ -491,11 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument(
         "--forecast-seed", type=int, default=7,
         help="RNG seed of the noisy-oracle forecast",
-    )
-    fleet_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the campaign grid (1: in-process fleet "
-             "engine; N: shard via repro.service.shard)",
     )
     fleet_parser.add_argument(
         "--remote", default=None, metavar="HOST:PORT",

@@ -12,12 +12,12 @@ devices consult at production scale.  This package is that layer:
   the event loop;
 * :mod:`repro.service.cache` -- an LRU result cache keyed by the canonical
   encoding, counting hits, misses and evictions;
-* :mod:`repro.service.pool` -- a worker pool running campaign cells on a
+* :mod:`repro.service.pool` -- a worker pool running campaign grids on a
   persistent :class:`~concurrent.futures.ProcessPoolExecutor`
   (``repro serve --campaign-workers N``);
-* :mod:`repro.service.shard` -- fleet campaign grids split across worker
-  processes (cell-wise, or time-wise for open-loop studies) and merged
-  exactly;
+* :mod:`repro.service.shard` -- the campaign runner: a grid cut into one
+  block of scenarios x policies per worker, each block one lockstep scan,
+  merged exactly;
 * :mod:`repro.service.server` / :mod:`repro.service.client` -- a
   stdlib-only asyncio JSON-over-HTTP front-end (``python -m repro serve``)
   with campaign submission/polling/streaming endpoints, and the matching
@@ -48,7 +48,6 @@ from repro.service.server import (
     serve,
     start_in_thread,
 )
-from repro.service.shard import run_sharded_campaign, shard_cells
 
 
 def __getattr__(name: str):
@@ -78,9 +77,7 @@ __all__ = [
     "WorkerPool",
     "group_requests",
     "run_server",
-    "run_sharded_campaign",
     "serve",
-    "shard_cells",
     "solve_batch",
     "solve_group",
     "start_in_thread",

@@ -66,8 +66,8 @@ class ServiceError(RuntimeError):
         """The stable error code from the ``/v1`` envelope, if present.
 
         ``/v1`` errors look like ``{"error": {"code": ..., "message": ...,
-        "detail": ...}}``; legacy errors carry a bare string under
-        ``"error"`` and yield ``None`` here.
+        "detail": ...}}``; servers from before the envelope send a bare
+        string under ``"error"``, which yields ``None`` here.
         """
         if isinstance(self.payload, dict):
             envelope = self.payload.get("error")

@@ -1,22 +1,26 @@
 """Worker pool: campaign cells on a persistent process executor.
 
 A fleet study submitted over HTTP is a grid of (scenario x policy)
-campaign cells.  Cells are whole simulations (LP solves plus Python
-accounting), so they scale across a
-:class:`~concurrent.futures.ProcessPoolExecutor`, reusing the sharded
-runner of :mod:`repro.service.shard`.  Allocation solves never come here:
-the micro-batcher solves them inline on the event loop, since one batched
-solve is ~0.1 ms of NumPy dispatch under the GIL and a thread hand-off
-would cost more than it saves.
+campaign cells.  The campaign runner of :mod:`repro.service.shard` cuts
+the grid into one block per worker and runs each block as one lockstep
+scan on a persistent :class:`~concurrent.futures.ProcessPoolExecutor`.
+Allocation solves never come here: the micro-batcher solves them inline
+on the event loop, since one batched solve is ~0.1 ms of NumPy dispatch
+under the GIL and a thread hand-off would cost more than it saves.
 
-:class:`WorkerPool` owns the process executor (created lazily, on the
-first campaign) and the metric families that the server's ``/stats`` and
-``/metrics`` read.  Its workers exit on their own when the process that
-owns the pool dies, whatever the start method (:func:`exit_with_parent`).
+:class:`WorkerPool` owns the process executor and the metric families
+that the server's ``/stats`` and ``/metrics`` read.  The executor and all
+its workers start with the pool, before the first campaign: ``repro
+serve`` builds its pool before any other thread exists, so a fork-started
+worker cannot inherit a lock that another thread held mid-write (a
+logging stream's, the trace recorder's) and block on it forever.  The
+workers exit on their own when the process that owns the pool dies,
+whatever the start method (:func:`exit_with_parent`).
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
@@ -80,6 +84,10 @@ def _init_campaign_worker(log_format: str, parent_pid: int) -> None:
     exit_with_parent(parent_pid)
 
 
+def _started() -> None:
+    """No-op task: submitting it makes the executor start its workers."""
+
+
 class WorkerPool:
     """Process workers for campaign grids.
 
@@ -87,8 +95,8 @@ class WorkerPool:
     ----------
     campaign_workers:
         Process workers for campaign grids.  ``1`` runs each campaign in
-        the calling process; above 1 the :class:`ProcessPoolExecutor` is
-        created on the first campaign and reused across campaigns until
+        the calling process; above 1 the :class:`ProcessPoolExecutor` and
+        all its workers start here and serve every campaign until
         :meth:`shutdown`.
     """
 
@@ -98,13 +106,29 @@ class WorkerPool:
                 f"campaign_workers must be at least 1, got {campaign_workers}"
             )
         self.campaign_workers = int(campaign_workers)
-        self._campaign_executor: Optional[ProcessPoolExecutor] = None
-        self._campaign_lock = threading.Lock()
         self._closed = False
         self.campaigns_run = Counter(
             "repro_pool_campaigns_total",
             "Campaign grids run on the worker pool.",
         )
+        self._campaign_executor: Optional[ProcessPoolExecutor] = None
+        if self.campaign_workers > 1:
+            self._campaign_executor = ProcessPoolExecutor(
+                max_workers=self.campaign_workers,
+                initializer=_init_campaign_worker,
+                initargs=(tracing.active_log_format(), os.getpid()),
+            )
+            # Under fork the first submit starts every worker, here and
+            # now, on the thread that builds the pool.  Frozen, the objects
+            # a worker inherits stay out of its collections, which would
+            # otherwise walk (and copy on write) this process's whole heap:
+            # in a process that has run the benchmark suite, that cost each
+            # worker 70-90 ms in its first unpickle of a campaign context.
+            gc.freeze()
+            try:
+                self._campaign_executor.submit(_started)
+            finally:
+                gc.unfreeze()
 
     # --- lifecycle --------------------------------------------------------------
     @property
@@ -120,12 +144,9 @@ class WorkerPool:
         every worker process has joined.
         """
         self._closed = True
-        with self._campaign_lock:
-            if self._campaign_executor is not None:
-                self._campaign_executor.shutdown(
-                    wait=wait, cancel_futures=cancel_pending
-                )
-                self._campaign_executor = None
+        executor, self._campaign_executor = self._campaign_executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=cancel_pending)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -133,27 +154,7 @@ class WorkerPool:
     def __exit__(self, *_exc) -> None:
         self.shutdown()
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("worker pool is shut down")
-
     # --- campaigns --------------------------------------------------------------
-    def _ensure_campaign_executor(self) -> Optional[ProcessPoolExecutor]:
-        if self.campaign_workers == 1:
-            return None
-        with self._campaign_lock:
-            # Re-checked under the lock: a concurrent shutdown() may have
-            # closed the pool after our caller's _check_open -- recreating
-            # the executor here would leak worker processes nobody stops.
-            self._check_open()
-            if self._campaign_executor is None:
-                self._campaign_executor = ProcessPoolExecutor(
-                    max_workers=self.campaign_workers,
-                    initializer=_init_campaign_worker,
-                    initargs=(tracing.active_log_format(), os.getpid()),
-                )
-            return self._campaign_executor
-
     def run_campaign(
         self,
         scenarios,
@@ -166,20 +167,22 @@ class WorkerPool:
     ):
         """Run a fleet campaign grid on the pool's process workers.
 
-        Delegates to :func:`repro.service.shard.run_sharded_campaign` with
-        this pool's persistent executor (``campaign_workers=1`` runs the
-        plain in-process fleet engine); results are identical to the
-        single-process run to floating-point round-off.  The persistent
-        pool's workers keep their engine and campaign-context caches warm
-        across campaigns.
+        Delegates to :func:`repro.service.shard.run_sharded_campaign`: the
+        grid runs as one block of scenarios x policies per campaign
+        worker, each block one lockstep scan, on this pool's persistent
+        executor (``campaign_workers=1`` runs the whole grid as one block
+        in this process).  Results are identical to the single-process
+        run to floating-point round-off.  The persistent pool's workers
+        keep their engine and campaign-context caches warm across
+        campaigns.
 
         ``completed``/``on_shard_done`` are the durable-store hooks (skip
-        journaled cells, journal each shard as it lands -- see the shard
-        runner).  Durable or not, the grid runs as one chunk per campaign
-        worker: the scan costs per period, not per cell, so finer chunks
-        would only repeat it.
+        journaled cells, journal each block as it lands -- see the shard
+        runner).
         """
-        self._check_open()
+        executor = self._campaign_executor
+        if self._closed:
+            raise RuntimeError("worker pool is shut down")
         # Imported here: the campaign stack (simulation + shard) is only
         # pulled in by services that actually run campaigns.
         from repro.service.shard import run_sharded_campaign
@@ -190,8 +193,8 @@ class WorkerPool:
             trace,
             config,
             scenario_labels=scenario_labels,
-            jobs=self.campaign_workers,
-            executor=self._ensure_campaign_executor(),
+            workers=self.campaign_workers,
+            executor=executor,
             completed=completed,
             on_shard_done=on_shard_done,
         )

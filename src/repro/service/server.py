@@ -18,14 +18,11 @@ a deliberately small HTTP/1.1 subset (one request per connection,
 third-party framework is required, mirroring how long-running energy
 services keep their protocol surface auditable.
 
-The service API is versioned: every endpoint lives under ``/v1/...`` and
-every ``/v1`` error body is the uniform envelope ``{"error": {"code",
-"message", "detail"}}`` with stable machine-readable codes
-(``bad_request``, ``job_running``, ``not_found``, ``store_unavailable``,
-...).  The legacy unversioned paths keep working through a shim that
-serves the same handlers with the pre-v1 string error bodies and adds a
-``Deprecation: true`` header plus a ``Link: </v1/...>;
-rel="successor-version"`` pointer.  See ``docs/service_api.md``.
+The service API is versioned: every endpoint lives under ``/v1/...``, any
+other path answers 404, and every error body is the uniform envelope
+``{"error": {"code", "message", "detail"}}`` with stable machine-readable
+codes (``bad_request``, ``job_running``, ``not_found``,
+``store_unavailable``, ...).  See ``docs/service_api.md``.
 
 Campaign jobs follow an explicit lifecycle -- ``queued -> running -> done
 | failed | cancelled`` -- and, when the service is built with a
@@ -37,8 +34,8 @@ and evicted finished jobs are re-served from disk.  Multiple server
 processes can share one port (``--procs N``, ``SO_REUSEPORT``) and
 coordinate through the store alone -- see :mod:`repro.service.frontend`.
 
-Endpoints (shown unversioned; prefix with ``/v1`` for the stable API)
----------------------------------------------------------------------
+Endpoints (shown without their ``/v1`` prefix)
+----------------------------------------------
 ``GET /healthz``
     Liveness probe plus deployment facts: status, package version,
     uptime, pid, worker/store configuration.
@@ -154,8 +151,7 @@ _CAMPAIGN_PATH = re.compile(
     r"^/campaign/([A-Za-z0-9_-]+)(/columns|/cancel|/events)?$"
 )
 
-#: Version prefix of the stable API; legacy paths omit it (and get a
-#: ``Deprecation`` header on the way out).
+#: Version prefix of the API; every route lives under it.
 _API_PREFIX = "/v1"
 
 #: ``GET /trace/<trace_id>``: 32 lowercase hex chars, as in traceparent.
@@ -1017,10 +1013,9 @@ _DEFAULT_ERROR_CODES = {
 class _HttpError(Exception):
     """An error that maps to a specific HTTP status code.
 
-    ``code`` is the stable machine-readable identifier of the ``/v1``
-    error envelope (legacy paths only see the message); ``detail``
-    carries optional structured context (``None`` stays in the envelope
-    so its shape is constant).
+    ``code`` is the stable machine-readable identifier of the error
+    envelope; ``detail`` carries optional structured context (``None``
+    stays in the envelope so its shape is constant).
     """
 
     def __init__(
@@ -1036,7 +1031,7 @@ class _HttpError(Exception):
         self.detail = detail
 
     def envelope(self) -> Dict[str, Any]:
-        """The ``/v1`` error body."""
+        """The error body."""
         return {
             "error": {
                 "code": self.code,
@@ -1220,15 +1215,14 @@ class AllocationServer:
 
         Campaign ids are collapsed to ``*`` and unknown paths to one
         shared bucket, so histogram cardinality is bounded by the route
-        table, not by traffic.  The ``/v1`` prefix is collapsed too:
-        both spellings hit the same handler, so they share one metric
-        series (dashboards and SLOs keyed on ``POST /allocate`` keep
-        working; deprecated traffic stays visible via the request log's
-        ``Deprecation`` responses).
+        table, not by traffic.  Labels leave out the ``/v1`` prefix
+        (dashboards and SLOs key on ``POST /allocate``); a path outside
+        it is unknown.
         """
         path = path.partition("?")[0]
-        if path == _API_PREFIX or path.startswith(_API_PREFIX + "/"):
-            path = path[len(_API_PREFIX):] or "/"
+        if not path.startswith(_API_PREFIX + "/"):
+            return f"{method} (other)"
+        path = path[len(_API_PREFIX):]
         match = _CAMPAIGN_PATH.match(path)
         if match:
             suffix = match.group(2) or ""
@@ -1245,25 +1239,11 @@ class AllocationServer:
     ) -> None:
         label: Optional[str] = None
         trace_ctx: Optional[tracing.SpanContext] = None
-        is_v1 = False
-        deprecation_headers: Tuple[str, ...] = ()
         started = time.perf_counter()
         try:
             try:
                 method, path, headers, body = await _read_request(reader)
                 label = self._endpoint_label(method, path)
-                bare_path = path.partition("?")[0]
-                is_v1 = bare_path == _API_PREFIX or bare_path.startswith(
-                    _API_PREFIX + "/"
-                )
-                if not is_v1 and "(other)" not in label:
-                    # Known route reached by its pre-v1 spelling: serve it,
-                    # but tell the client where the stable API lives.
-                    deprecation_headers = (
-                        "Deprecation: true",
-                        f'Link: <{_API_PREFIX}{bare_path}>; '
-                        'rel="successor-version"',
-                    )
                 # Every request runs inside an ``http.request`` span: a
                 # client-sent traceparent continues that trace, otherwise a
                 # fresh one starts here.  Awaiting the dispatch keeps the
@@ -1276,24 +1256,15 @@ class AllocationServer:
                     trace_ctx = http_span.context
                     result = await self._dispatch(method, path, headers, body)
             except StoreError as error:
-                http_error = _HttpError(503, str(error))
-                result = http_error.status, (
-                    http_error.envelope() if is_v1
-                    else {"error": str(http_error)}
-                )
+                result = 503, _HttpError(503, str(error)).envelope()
             except _HttpError as error:
-                result = error.status, (
-                    error.envelope() if is_v1 else {"error": str(error)}
-                )
+                result = error.status, error.envelope()
             except Exception as error:  # never kill the accept loop
                 message = f"{type(error).__name__}: {error}"
-                result = 500, (
-                    _HttpError(500, message).envelope() if is_v1
-                    else {"error": message}
-                )
+                result = 500, _HttpError(500, message).envelope()
             extra_headers = (
                 (f"traceparent: {trace_ctx.traceparent()}",) if trace_ctx else ()
-            ) + deprecation_headers
+            )
             if isinstance(result, _StreamingPayloads):
                 status = 200
                 await self._write_stream(writer, result, extra_headers)
@@ -1425,10 +1396,11 @@ class AllocationServer:
     ):
         path, _, raw_query = path.partition("?")
         query = dict(parse_qsl(raw_query, keep_blank_values=True))
-        if path == _API_PREFIX or path.startswith(_API_PREFIX + "/"):
-            # The v1 prefix selects the error dialect (see
-            # _handle_connection); the route table itself is shared.
-            path = path[len(_API_PREFIX):] or "/"
+        if not path.startswith(_API_PREFIX + "/"):
+            raise _HttpError(
+                404, f"unknown path {path!r}; the API lives under {_API_PREFIX}/"
+            )
+        path = path[len(_API_PREFIX):]
         if path == "/healthz":
             if method != "GET":
                 raise _HttpError(405, "healthz is GET-only")

@@ -93,6 +93,9 @@ RECORD_KINDS = (
     "recover", "finish", "fail", "cancel", "delete",
 )
 
+#: Seconds a connection waits for another process's lock before failing.
+_BUSY_TIMEOUT_S = 30.0
+
 #: Record kinds that annotate a job without defining its state; replay
 #: never creates a :class:`JobRecord` for them (a late lease record must
 #: not resurrect a deleted job).
@@ -382,11 +385,11 @@ class CampaignStore:
         try:
             self._db = sqlite3.connect(
                 self.path,
-                timeout=30.0,
+                timeout=_BUSY_TIMEOUT_S,
                 check_same_thread=False,
                 isolation_level=None,  # autocommit; explicit BEGIN IMMEDIATE
             )
-            self._db.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal()
             self._db.execute(
                 "PRAGMA synchronous=%s"
                 % ("FULL" if sync == "full" else "NORMAL")
@@ -398,6 +401,24 @@ class CampaignStore:
             raise StoreError(
                 f"cannot open campaign store {self.path!r}: {error}"
             ) from error
+
+    def _enable_wal(self) -> None:
+        """Switch the journal to WAL, waiting out concurrent openers.
+
+        When several processes open one fresh file at once, SQLite can
+        fail ``PRAGMA journal_mode=WAL`` with "database is locked"
+        without calling the busy handler, so the connection's timeout
+        does not cover it; the pragma is retried within that timeout.
+        """
+        deadline = time.monotonic() + _BUSY_TIMEOUT_S
+        while True:
+            try:
+                self._db.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
 
     # --- lifecycle ----------------------------------------------------------------
     def close(self) -> None:

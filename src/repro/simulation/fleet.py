@@ -75,6 +75,40 @@ def _read_binary_frame(blob: bytes, offset: int, what: str) -> tuple:
     return blob[offset:offset + size], offset + size
 
 
+#: Fields each binary header must carry, with their JSON types.
+_META_FIELDS = {
+    "num_cells": int,
+    "scenario_labels": list,
+    "policy_names": list,
+    "alphas": list,
+    "trace_hours": int,
+}
+_CELL_FIELDS = {
+    "scenario_index": int,
+    "policy_index": int,
+    "policy_name": str,
+    "alpha": (int, float),
+}
+
+
+def _json_header(blob: bytes, what: str, fields: Dict[str, Any]) -> Dict[str, Any]:
+    """Decode one JSON header frame and check its ``fields``' types.
+
+    The stream comes off the network, so a corrupt header must fail as a
+    :class:`ValueError`, never as a ``KeyError`` or ``TypeError``.
+    """
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ValueError(f"malformed binary {what}: {error}") from error
+    if not isinstance(header, dict):
+        raise ValueError(f"malformed binary {what}: not a JSON object")
+    for key, kind in fields.items():
+        if not isinstance(header.get(key), kind):
+            raise ValueError(f"malformed binary {what}: bad or missing {key!r}")
+    return header
+
+
 @dataclass
 class CampaignConfig:
     """Configuration of a harvesting campaign simulation."""
@@ -349,8 +383,10 @@ class FleetResult:
     def from_binary(cls, blob: bytes) -> "FleetResult":
         """Decode one buffered :meth:`to_binary_frames` stream.
 
-        Raises :class:`ValueError` on a bad magic, truncated frames or a
-        cell count that disagrees with the meta frame.
+        Raises :class:`ValueError`, and only that, on anything malformed:
+        a bad magic, truncated frames, a meta or cell header that is not a
+        JSON object or lacks a field of the right type, a cell outside the
+        grid, or a cell count that disagrees with the meta frame.
         """
         magic = blob[: len(CAMPAIGN_BINARY_MAGIC)]
         if magic != CAMPAIGN_BINARY_MAGIC:
@@ -360,27 +396,34 @@ class FleetResult:
             )
         offset = len(CAMPAIGN_BINARY_MAGIC)
         meta_blob, offset = _read_binary_frame(blob, offset, "meta frame")
-        try:
-            meta = json.loads(meta_blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ValueError(f"malformed binary meta frame: {error}") from error
-        num_cells = int(meta.get("num_cells", -1))
+        meta = _json_header(meta_blob, "meta frame", _META_FIELDS)
+        num_cells = meta["num_cells"]
         if num_cells < 0:
             raise ValueError("malformed binary meta frame: bad num_cells")
         codec = meta.get("codec", "raw")
         if codec not in ("raw", "zlib"):
             raise ValueError(f"unsupported binary codec {codec!r} in meta frame")
-        cells: List[Dict[str, Any]] = []
+        labels = list(meta["scenario_labels"])
+        names = list(meta["policy_names"])
+        alphas = meta["alphas"]
+        if len(alphas) != len(names) or not all(
+            isinstance(alpha, (int, float)) for alpha in alphas
+        ):
+            raise ValueError("malformed binary meta frame: bad alphas")
+        grid: List[List[Optional[CampaignResult]]] = [
+            [None] * len(names) for _ in labels
+        ]
         for index in range(num_cells):
-            head_blob, offset = _read_binary_frame(
-                blob, offset, f"cell {index} header"
-            )
-            try:
-                head = json.loads(head_blob.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise ValueError(
-                    f"malformed binary cell header {index}: {error}"
-                ) from error
+            what = f"cell {index} header"
+            head_blob, offset = _read_binary_frame(blob, offset, what)
+            head = _json_header(head_blob, what, _CELL_FIELDS)
+            scenario_index = head["scenario_index"]
+            policy_index = head["policy_index"]
+            if not (
+                0 <= scenario_index < len(labels)
+                and 0 <= policy_index < len(names)
+            ):
+                raise ValueError(f"binary {what} names a cell outside the grid")
             columns_blob, offset = _read_binary_frame(
                 blob, offset, f"cell {index} columns"
             )
@@ -398,38 +441,24 @@ class FleetResult:
                             f"binary cell {index} battery frame truncated "
                             f"or corrupt: {error}"
                         ) from error
-                expected = int(head.get("battery_len", 0)) * 8
-                if len(battery_blob) != expected:
+                battery_len = head.get("battery_len", 0)
+                if not isinstance(battery_len, int):
+                    raise ValueError(f"malformed binary {what}: bad 'battery_len'")
+                if len(battery_blob) != battery_len * 8:
                     raise ValueError(
                         f"binary cell {index} battery frame has "
-                        f"{len(battery_blob)} bytes, expected {expected}"
+                        f"{len(battery_blob)} bytes, expected {battery_len * 8}"
                     )
                 battery = np.frombuffer(battery_blob, dtype="<f8").astype(float)
-            cells.append({
-                "scenario_index": int(head["scenario_index"]),
-                "policy_index": int(head["policy_index"]),
-                "policy_name": str(head["policy_name"]),
-                "alpha": float(head["alpha"]),
-                "columns": columns,
-                "battery_charge_j": battery,
-            })
+            grid[scenario_index][policy_index] = CampaignResult.from_columns(
+                head["policy_name"],
+                float(head["alpha"]),
+                columns,
+                battery_charge_j=battery,
+            )
         if offset != len(blob):
             raise ValueError(
                 f"binary campaign stream has {len(blob) - offset} trailing bytes"
-            )
-        labels = list(meta["scenario_labels"])
-        names = list(meta["policy_names"])
-        grid: List[List[Optional[CampaignResult]]] = [
-            [None] * len(names) for _ in labels
-        ]
-        for payload in cells:
-            grid[payload["scenario_index"]][payload["policy_index"]] = (
-                CampaignResult.from_columns(
-                    payload["policy_name"],
-                    payload["alpha"],
-                    payload["columns"],
-                    battery_charge_j=payload["battery_charge_j"],
-                )
             )
         missing = [
             (scenario_index, policy_index)
@@ -443,9 +472,9 @@ class FleetResult:
             scenario_labels=labels,
             grid=grid,
             scan=None,
-            trace_hours=int(meta["trace_hours"]),
+            trace_hours=meta["trace_hours"],
             policy_names=names,
-            alphas=[float(alpha) for alpha in meta["alphas"]],
+            alphas=[float(alpha) for alpha in alphas],
         )
 
     @classmethod

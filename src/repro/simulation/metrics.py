@@ -149,46 +149,6 @@ class CampaignColumns:
             )
         return outcomes
 
-    @classmethod
-    def concat(cls, parts: Sequence["CampaignColumns"]) -> "CampaignColumns":
-        """Merge period-sharded column bundles back into one campaign.
-
-        ``parts`` are consecutive time slices of one campaign (e.g. produced
-        by the sharded runner of :mod:`repro.service.shard`, one slice per
-        worker process); they are concatenated along the period axis in the
-        given order.  The per-DP time matrix is kept only when every part
-        carries one over the same design points -- mixing labelled and
-        unlabelled parts would silently misalign :meth:`to_outcomes`.
-        """
-        if not parts:
-            raise ValueError("need at least one column bundle to concatenate")
-        if len(parts) == 1:
-            return parts[0]
-        names = parts[0].design_point_names
-        keep_times = all(
-            part.design_point_names == names
-            and part.times_by_design_point_s is not None
-            for part in parts
-        )
-        return cls(
-            period_index=np.concatenate([p.period_index for p in parts]),
-            energy_budget_j=np.concatenate([p.energy_budget_j for p in parts]),
-            energy_consumed_j=np.concatenate([p.energy_consumed_j for p in parts]),
-            active_time_s=np.concatenate([p.active_time_s for p in parts]),
-            off_time_s=np.concatenate([p.off_time_s for p in parts]),
-            windows_total=np.concatenate([p.windows_total for p in parts]),
-            windows_observed=np.concatenate([p.windows_observed for p in parts]),
-            windows_correct=np.concatenate([p.windows_correct for p in parts]),
-            objective_value=np.concatenate([p.objective_value for p in parts]),
-            expected_accuracy=np.concatenate([p.expected_accuracy for p in parts]),
-            design_point_names=names if keep_times else (),
-            times_by_design_point_s=(
-                np.concatenate([p.times_by_design_point_s for p in parts])
-                if keep_times
-                else None
-            ),
-        )
-
     # --- JSON codec -------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
         """Encode as a JSON-ready dictionary (the campaign wire format).
@@ -336,9 +296,14 @@ class CampaignColumns:
         codec = header.get("codec", "raw")
         if codec not in ("raw", "zlib"):
             raise ValueError(f"unsupported binary codec {codec!r} in header")
-        num_periods = int(header.get("num_periods", -1))
-        if num_periods < 0:
+        num_periods = header.get("num_periods")
+        if not isinstance(num_periods, int) or num_periods < 0:
             raise ValueError("malformed binary columns header: bad num_periods")
+        names = header.get("design_point_names", [])
+        if not isinstance(names, list):
+            raise ValueError(
+                "malformed binary columns header: bad design_point_names"
+            )
         payload = blob[8 + header_len:]
         if codec == "zlib":
             try:
@@ -369,7 +334,6 @@ class CampaignColumns:
                 fields[name] = take("<i8", num_periods).astype(int)
             else:
                 fields[name] = take(dtype, num_periods).astype(float)
-        names = tuple(header.get("design_point_names", ()))
         times: Optional[np.ndarray] = None
         if names:
             flat = take(dtype, num_periods * len(names)).astype(float)
@@ -379,7 +343,7 @@ class CampaignColumns:
                 f"binary columns frame has {len(payload) - offset} trailing bytes"
             )
         return cls(
-            design_point_names=names,
+            design_point_names=tuple(names),
             times_by_design_point_s=times,
             **fields,
         )

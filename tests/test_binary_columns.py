@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.table2 import table2_design_points
-from repro.service.client import AllocationClient, ServiceError
+from repro.service.client import AllocationClient
 from repro.service.client import main as client_main
 from repro.service.requests import CampaignRequest
 from repro.service.server import AllocationService, start_in_thread
@@ -199,6 +202,56 @@ class TestFleetResultBinaryStream:
         with pytest.raises(ValueError, match="trailing"):
             FleetResult.from_binary(blob + b"\x00" * 12)
 
+    @pytest.fixture(scope="class")
+    def two_cell_stream(self):
+        """A real 2-cell stream and the offsets of its JSON header bytes."""
+        request = CampaignRequest(hours=24, alphas=(1.0,), baselines=("DP1",))
+        scenarios, labels, policies, trace, config = request.build()
+        result = FleetCampaign(scenarios, config, scenario_labels=labels).run(
+            policies, trace
+        )
+        blob = b"".join(result.to_binary_frames())
+
+        def parses(text: bytes) -> bool:
+            try:
+                json.loads(text)
+            except ValueError:
+                return False
+            return True
+
+        # Meta, cell and columns headers: flips there can still parse,
+        # which is where a missing key or a wrong type comes from.
+        headers = [
+            offset
+            for match in re.finditer(rb"\{[^{}]*\}", blob)
+            if parses(match.group())
+            for offset in range(match.start(), match.end())
+        ]
+        assert len(headers) > 100
+        return blob, headers
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_corruption_raises_only_value_error(self, two_cell_stream, data):
+        # The stream comes off the network: truncations and byte flips
+        # must decode or raise ValueError, never KeyError or TypeError.
+        blob, headers = two_cell_stream
+        if data.draw(st.booleans(), label="truncate"):
+            corrupt = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            flipped = bytearray(blob)
+            for _ in range(data.draw(st.integers(1, 4), label="flips")):
+                offset = data.draw(
+                    st.sampled_from(headers) | st.integers(0, len(blob) - 1)
+                )
+                flipped[offset] ^= data.draw(st.integers(1, 255))
+            corrupt = bytes(flipped)
+        try:
+            decoded = FleetResult.from_binary(corrupt)
+        except ValueError:
+            return
+        assert isinstance(decoded, FleetResult)
+
 
 # ---------------------------------------------------------------------------
 # HTTP negotiation
@@ -281,7 +334,7 @@ class TestBinaryColumnsHttp:
         try:
             connection.request(
                 "GET",
-                f"/campaign/{finished.campaign_id}/columns?format=binary",
+                f"/v1/campaign/{finished.campaign_id}/columns?format=binary",
             )
             response = connection.getresponse()
             assert response.status == 200
@@ -300,7 +353,7 @@ class TestBinaryColumnsHttp:
         )
         try:
             connection.request(
-                "GET", f"/campaign/{finished.campaign_id}/columns"
+                "GET", f"/v1/campaign/{finished.campaign_id}/columns"
             )
             response = connection.getresponse()
             assert response.status == 200
@@ -319,7 +372,7 @@ class TestBinaryColumnsHttp:
         try:
             connection.request(
                 "GET",
-                f"/campaign/{finished.campaign_id}/columns?{query}",
+                f"/v1/campaign/{finished.campaign_id}/columns?{query}",
             )
             response = connection.getresponse()
             assert response.status == 400

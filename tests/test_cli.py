@@ -126,12 +126,6 @@ class TestServeAndRemoteFleet:
         args = build_parser().parse_args(["serve", "--campaign-workers", "2"])
         assert args.campaign_workers == 2
 
-    def test_fleet_remote_rejects_jobs(self, capsys):
-        assert main([
-            "fleet", "--remote", "127.0.0.1:1", "--jobs", "2",
-        ]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
     def test_fleet_remote_rejects_bad_address(self, capsys):
         assert main(["fleet", "--remote", "nocolonhere"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err

@@ -1,11 +1,14 @@
-"""Tests for sharded fleet campaigns and per-scenario battery variants.
+"""Tests for campaign blocks on the worker pool, and per-scenario batteries.
 
-The sharded runner must be *exactly* equivalent to the in-process fleet
-engine -- the workers run the same vectorized code on partitions of the
-same grid -- so every comparison here is to 1e-9 or tighter, on per-period
-series, not just aggregates.  The worker-side context cache, worker
+A campaign grid runs as one block of scenarios x policies per campaign
+worker, each block one ``FleetCampaign.run``; the merged result must be
+*exactly* equivalent to ``FleetCampaign.run`` on the whole grid -- the
+blocks run the same vectorized code on rectangles of the same grid -- so
+every comparison here is to 1e-9 or tighter, on per-period series, not
+just aggregates.  The block layout, the worker-side context cache, worker
 failures, the merge phase's timing and the durable resume contract (re-run
-only the cells the journal is missing) are covered too.
+only the blocks the journal is missing, journal each cell once) are
+covered too.
 """
 
 from __future__ import annotations
@@ -13,21 +16,19 @@ from __future__ import annotations
 import pickle
 import time
 import types
-from concurrent.futures import Executor, ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import run_fleet_campaign_experiment
 from repro.cli import main as cli_main
 from repro.data.table2 import table2_design_points
 from repro.harvesting.solar import SyntheticSolarModel
 from repro.harvesting.solar_cell import HarvestScenario, SolarCellModel
 from repro.harvesting.traces import SolarTrace
 from repro.service import shard
-from repro.service.shard import run_sharded_campaign, shard_cells
+from repro.service.pool import WorkerPool
+from repro.service.shard import block_layout, run_sharded_campaign
 from repro.simulation.fleet import CampaignConfig, FleetCampaign
-from repro.simulation.metrics import CampaignColumns
 from repro.simulation.policies import ReapPolicy, StaticPolicy
 from repro.simulation.simulator import HarvestingCampaign
 
@@ -52,22 +53,23 @@ def _policies(points):
     ]
 
 
-class StatefulPolicy(ReapPolicy):
-    """A policy with cross-period state (module-level so it pickles)."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.seen = 0
-
-    def reset(self):  # cross-period state: time slicing would reset it
-        self.seen = 0
-
-
 class CrashingPolicy(ReapPolicy):
     """A policy that dies mid-cell (module-level so workers can unpickle it)."""
 
     def allocate_arrays(self, budgets_j):
         raise RuntimeError("boom: simulated worker crash")
+
+
+def _scenarios(*factors):
+    return [
+        HarvestScenario(cell=SolarCellModel(exposure_factor=factor))
+        for factor in factors
+    ]
+
+
+def _whole_grid(scenarios, policies, trace, config):
+    """The reference: one ``FleetCampaign.run`` over the whole grid."""
+    return FleetCampaign(scenarios, config).run(policies, trace)
 
 
 def _assert_cells_match(sharded, single):
@@ -92,104 +94,60 @@ def _assert_cells_match(sharded, single):
 
 
 class TestShardCells:
+    """:func:`block_layout` cuts a grid into at most one rectangle per worker."""
+
     def test_partitions_every_cell_once(self):
-        chunks = shard_cells(3, 4, 5)
-        flat = [cell for chunk in chunks for cell in chunk]
-        assert flat == [(s, p) for s in range(3) for p in range(4)]
-        assert len(chunks) == 5
-        sizes = [len(chunk) for chunk in chunks]
-        assert max(sizes) - min(sizes) <= 1
+        for num_scenarios, num_policies, workers in [
+            (1, 1, 4), (1, 6, 2), (2, 8, 2), (3, 4, 2), (3, 4, 5), (6, 1, 4),
+            (5, 7, 3), (4, 4, 16), (2, 3, 1),
+        ]:
+            blocks = block_layout(num_scenarios, num_policies, workers)
+            assert 1 <= len(blocks) <= workers
+            # Each block is a non-empty rectangle of contiguous runs...
+            for rows, columns in blocks:
+                assert len(rows) >= 1 and len(columns) >= 1
+                assert rows.step == 1 and columns.step == 1
+            # ...and every cell lands in exactly one of them.
+            cells = [
+                (row, column) for rows, columns in blocks
+                for row in rows for column in columns
+            ]
+            assert sorted(cells) == [
+                (s, p) for s in range(num_scenarios) for p in range(num_policies)
+            ]
 
     def test_never_more_chunks_than_cells(self):
-        assert len(shard_cells(1, 2, 8)) == 2
+        assert len(block_layout(1, 2, 8)) == 2
+        # perfbench's campaign (2 scenarios x 8 policies, 2 workers): one
+        # scenario per block, as the cell-wise chunks it replaced.
+        assert block_layout(2, 8, 2) == [
+            (range(0, 1), range(0, 8)), (range(1, 2), range(0, 8)),
+        ]
+        # One scenario on two workers: a 3 + 3 policy split.
+        assert block_layout(1, 6, 2) == [
+            (range(0, 1), range(0, 3)), (range(0, 1), range(3, 6)),
+        ]
+        # More scenarios than workers: whole-policy rows, scenarios split.
+        assert block_layout(3, 4, 2) == [
+            (range(0, 2), range(0, 4)), (range(2, 3), range(0, 4)),
+        ]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            shard_cells(0, 1, 1)
+            block_layout(0, 1, 1)
         with pytest.raises(ValueError):
-            shard_cells(1, 1, 0)
-
-
-class TestCampaignColumnsConcat:
-    def test_concat_round_trips_a_split(self, points, trace):
-        campaign = FleetCampaign(HarvestScenario())
-        result = campaign.run(_policies(points)[:1], trace).result(0)
-        columns = result.columns
-        parts = [
-            CampaignColumns(
-                period_index=columns.period_index[lo:hi],
-                energy_budget_j=columns.energy_budget_j[lo:hi],
-                energy_consumed_j=columns.energy_consumed_j[lo:hi],
-                active_time_s=columns.active_time_s[lo:hi],
-                off_time_s=columns.off_time_s[lo:hi],
-                windows_total=columns.windows_total[lo:hi],
-                windows_observed=columns.windows_observed[lo:hi],
-                windows_correct=columns.windows_correct[lo:hi],
-                objective_value=columns.objective_value[lo:hi],
-                expected_accuracy=columns.expected_accuracy[lo:hi],
-                design_point_names=columns.design_point_names,
-                times_by_design_point_s=columns.times_by_design_point_s[lo:hi],
-            )
-            for lo, hi in ((0, 30), (30, 31), (31, len(columns)))
-        ]
-        merged = CampaignColumns.concat(parts)
-        np.testing.assert_array_equal(merged.period_index, columns.period_index)
-        np.testing.assert_allclose(
-            merged.objective_value, columns.objective_value, atol=0
-        )
-        np.testing.assert_allclose(
-            merged.times_by_design_point_s,
-            columns.times_by_design_point_s,
-            atol=0,
-        )
-
-    def test_concat_drops_times_on_mixed_labelling(self):
-        plain = CampaignColumns(
-            period_index=np.arange(2),
-            energy_budget_j=np.ones(2),
-            energy_consumed_j=np.ones(2),
-            active_time_s=np.ones(2),
-            off_time_s=np.ones(2),
-            windows_total=np.ones(2, dtype=int),
-            windows_observed=np.ones(2, dtype=int),
-            windows_correct=np.ones(2),
-            objective_value=np.ones(2),
-            expected_accuracy=np.ones(2),
-        )
-        labelled = CampaignColumns(
-            period_index=np.arange(2),
-            energy_budget_j=np.ones(2),
-            energy_consumed_j=np.ones(2),
-            active_time_s=np.ones(2),
-            off_time_s=np.ones(2),
-            windows_total=np.ones(2, dtype=int),
-            windows_observed=np.ones(2, dtype=int),
-            windows_correct=np.ones(2),
-            objective_value=np.ones(2),
-            expected_accuracy=np.ones(2),
-            design_point_names=("DP1",),
-            times_by_design_point_s=np.ones((2, 1)),
-        )
-        merged = CampaignColumns.concat([plain, labelled])
-        assert merged.times_by_design_point_s is None
-        assert len(merged) == 4
-
-    def test_concat_rejects_empty(self):
-        with pytest.raises(ValueError):
-            CampaignColumns.concat([])
+            block_layout(1, 1, 0)
 
 
 class TestShardedCampaign:
     def test_cell_sharded_closed_loop_matches_single_process(self, points, trace):
-        scenarios = [
-            HarvestScenario(cell=SolarCellModel(exposure_factor=factor))
-            for factor in (0.032, 0.05)
-        ]
+        scenarios = _scenarios(0.032, 0.05)
         policies = _policies(points)
         config = CampaignConfig(use_battery=True)
-        single = run_sharded_campaign(scenarios, policies, trace, config, jobs=1)
-        sharded = run_sharded_campaign(scenarios, policies, trace, config, jobs=4)
-        assert sharded.scan is None  # workers own private scans
+        single = _whole_grid(scenarios, policies, trace, config)
+        with WorkerPool(campaign_workers=4) as pool:
+            sharded = pool.run_campaign(scenarios, policies, trace, config)
+        assert sharded.scan is None  # each block owns its scan
         _assert_cells_match(sharded, single)
 
     def test_cell_sharded_sampled_mode_keeps_rng_parity(self, points, trace):
@@ -200,73 +158,33 @@ class TestShardedCampaign:
         config = CampaignConfig(
             use_battery=True, device=DeviceConfig(recognition_mode="sampled")
         )
-        single = run_sharded_campaign(scenarios, policies, trace, config, jobs=1)
-        sharded = run_sharded_campaign(scenarios, policies, trace, config, jobs=2)
+        single = _whole_grid(scenarios, policies, trace, config)
+        with WorkerPool(campaign_workers=2) as pool:
+            sharded = pool.run_campaign(scenarios, policies, trace, config)
         for scenario_index, policy_index, cell in sharded:
             reference = single.result(policy_index, scenario_index)
             assert cell.total_windows_correct == pytest.approx(
                 reference.total_windows_correct, abs=0
             )
 
-    def test_time_sharded_open_loop_matches_single_process(self, points, trace):
-        scenarios = [HarvestScenario()]
-        policies = [ReapPolicy(points, alpha=1.0)]
-        config = CampaignConfig(use_battery=False)
-        single = run_sharded_campaign(scenarios, policies, trace, config, jobs=1)
-        sharded = run_sharded_campaign(scenarios, policies, trace, config, jobs=3)
-        merged = sharded.result(0).columns
-        reference = single.result(0).columns
-        np.testing.assert_array_equal(merged.period_index, reference.period_index)
-        np.testing.assert_allclose(
-            merged.objective_value, reference.objective_value, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            merged.times_by_design_point_s,
-            reference.times_by_design_point_s,
-            atol=1e-9,
-        )
-
-    def test_single_closed_loop_cell_cannot_time_shard(self, points, trace):
-        # One closed-loop cell with many workers: the runner must fall back
-        # to an exact (single-shard) run rather than split the recurrence.
-        scenarios = [HarvestScenario()]
-        policies = [ReapPolicy(points, alpha=1.0)]
-        config = CampaignConfig(use_battery=True)
-        single = run_sharded_campaign(scenarios, policies, trace, config, jobs=1)
-        sharded = run_sharded_campaign(scenarios, policies, trace, config, jobs=4)
-        _assert_cells_match(sharded, single)
-
     def test_rejects_bad_jobs(self, points, trace):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="campaign_workers"):
+            WorkerPool(campaign_workers=0)
+        with pytest.raises(ValueError, match="executor"):
             run_sharded_campaign(
-                [HarvestScenario()], _policies(points)[:1], trace, jobs=0
+                [HarvestScenario()], _policies(points)[:1], trace, workers=2
             )
-
-    def test_stateful_policy_refuses_time_sharding(self, points, trace):
-        from repro.service.shard import _time_shardable
-
-        config = CampaignConfig(use_battery=False)
-        assert _time_shardable(config, [ReapPolicy(points)])
-        assert not _time_shardable(config, [StatefulPolicy(points)])
-        # The stateful cell still runs exactly (cell-sharded, one chunk).
-        single = run_sharded_campaign(
-            [HarvestScenario()], [StatefulPolicy(points)], trace, config, jobs=1
-        )
-        sharded = run_sharded_campaign(
-            [HarvestScenario()], [StatefulPolicy(points)], trace, config, jobs=3
-        )
-        _assert_cells_match(sharded, single)
 
     def test_worker_crash_mid_cell_surfaces_the_error(self, points, trace):
         policies = [ReapPolicy(points, alpha=1.0), CrashingPolicy(points)]
-        with pytest.raises(RuntimeError, match="boom"):
-            run_sharded_campaign(
-                [HarvestScenario()],
-                policies,
-                trace,
-                CampaignConfig(use_battery=True),
-                jobs=2,
-            )
+        with WorkerPool(campaign_workers=2) as pool:
+            with pytest.raises(RuntimeError, match="boom"):
+                pool.run_campaign(
+                    [HarvestScenario()],
+                    policies,
+                    trace,
+                    CampaignConfig(use_battery=True),
+                )
 
     def test_merge_phase_excludes_the_shard_hook(self, points, trace):
         # The durable hook journals each shard; its time belongs to the
@@ -278,16 +196,91 @@ class TestShardedCampaign:
             hook_calls.append(len(cells))
             time.sleep(sleep_s)
 
-        result = run_sharded_campaign(
-            [HarvestScenario()],
-            _policies(points),
-            trace,
-            CampaignConfig(use_battery=True),
-            jobs=2,
-            on_shard_done=slow_hook,
-        )
-        assert len(hook_calls) == 2
+        with WorkerPool(campaign_workers=2) as pool:
+            result = pool.run_campaign(
+                [HarvestScenario()],
+                _policies(points),
+                trace,
+                CampaignConfig(use_battery=True),
+                on_shard_done=slow_hook,
+            )
+        assert hook_calls == [2, 2]
         assert result.phase_timings["merge"] < 0.25 * sleep_s * len(hook_calls)
+
+
+class TestBlockLayouts:
+    """Every layout matches ``FleetCampaign.run`` on the whole grid."""
+
+    @pytest.mark.parametrize(
+        "factors, workers",
+        [((0.032,), 3), ((0.032, 0.05), 2), ((0.032, 0.04, 0.05), 2)],
+        ids=["S<W", "S=W", "S>W"],
+    )
+    def test_layout_matches_the_whole_grid(self, points, trace, factors, workers):
+        scenarios = _scenarios(*factors)
+        policies = _policies(points)
+        config = CampaignConfig(use_battery=True)
+        reference = _whole_grid(scenarios, policies, trace, config)
+        shards = []
+        with WorkerPool(campaign_workers=workers) as pool:
+            result = pool.run_campaign(
+                scenarios, policies, trace, config, on_shard_done=shards.append
+            )
+        assert len(shards) == len(
+            block_layout(len(scenarios), len(policies), workers)
+        )
+        journaled = [cell[:2] for cells in shards for cell in cells]
+        assert sorted(journaled) == [cell[:2] for cell in reference]
+        _assert_cells_match(result, reference)
+
+    def test_partly_journaled_block_reruns_whole_and_journals_the_rest(
+        self, points, trace
+    ):
+        # Journaled under another layout: two cells of the first block
+        # (scenario 0) and none of the second.
+        scenarios = _scenarios(0.032, 0.05)
+        policies = _policies(points)
+        config = CampaignConfig(use_battery=True)
+        reference = _whole_grid(scenarios, policies, trace, config)
+        completed = {
+            (0, 1): reference.result(1, 0), (0, 3): reference.result(3, 0),
+        }
+        seen = []
+        with WorkerPool(campaign_workers=2) as pool:
+            result = pool.run_campaign(
+                scenarios, policies, trace, config, completed=completed,
+                on_shard_done=lambda cells: seen.extend(c[:2] for c in cells),
+            )
+        missing = [cell[:2] for cell in reference if cell[:2] not in completed]
+        assert sorted(seen) == missing  # each missing cell exactly once
+        assert len(seen) == len(set(seen))
+        assert result.result(1, 0) is completed[(0, 1)]
+        _assert_cells_match(result, reference)
+
+    def test_inline_durable_grid_is_one_fleet_run(
+        self, points, trace, monkeypatch
+    ):
+        scenarios = _scenarios(0.032, 0.04, 0.05)
+        policies = _policies(points)
+        config = CampaignConfig(use_battery=True)
+        reference = _whole_grid(scenarios, policies, trace, config)
+        runs = []
+        original = FleetCampaign.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(len(self.scenarios))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FleetCampaign, "run", counting_run)
+        shards = []
+        with WorkerPool(campaign_workers=1) as pool:
+            result = pool.run_campaign(
+                scenarios, policies, trace, config, completed={},
+                on_shard_done=shards.append,
+            )
+        assert runs == [3]  # one lockstep scan over all three scenarios
+        assert [len(cells) for cells in shards] == [12]
+        _assert_cells_match(result, reference)
 
 
 class TestDurableResume:
@@ -295,26 +288,23 @@ class TestDurableResume:
 
     @pytest.fixture(scope="class")
     def grid(self, points, trace):
-        scenarios = [
-            HarvestScenario(cell=SolarCellModel(exposure_factor=factor))
-            for factor in (0.032, 0.05)
-        ]
+        scenarios = _scenarios(0.032, 0.05)
         policies = _policies(points)
         config = CampaignConfig(use_battery=True)
-        reference = run_sharded_campaign(scenarios, policies, trace, config, jobs=1)
+        reference = _whole_grid(scenarios, policies, trace, config)
         return scenarios, policies, config, reference
 
     def test_half_completed_grid_reruns_only_the_other_half(self, trace, grid):
         scenarios, policies, config, reference = grid
         cells = [(si, pi) for si, pi, _ in reference]
-        # Every other cell, so each worker's chunk has holes in it.
+        # Every other cell, so each worker's block has holes in it.
         completed = {
             (si, pi): reference.result(pi, si) for si, pi in cells[::2]
         }
         seen = []
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            resumed = run_sharded_campaign(
-                scenarios, policies, trace, config, jobs=2, executor=pool,
+        with WorkerPool(campaign_workers=2) as pool:
+            resumed = pool.run_campaign(
+                scenarios, policies, trace, config,
                 completed=completed,
                 on_shard_done=lambda shard: seen.extend(
                     (si, pi) for si, pi, _ in shard
@@ -328,18 +318,16 @@ class TestDurableResume:
 
     def test_fully_completed_grid_submits_no_task(self, trace, grid):
         scenarios, policies, config, reference = grid
-
-        class NoTasks(Executor):
-            def submit(self, *_args, **_kwargs):
-                raise AssertionError("a fully journaled grid submitted a task")
-
         seen = []
-        resumed = run_sharded_campaign(
-            scenarios, policies, trace, config, jobs=2, executor=NoTasks(),
-            completed={(si, pi): cell for si, pi, cell in reference},
-            on_shard_done=seen.append,
-        )
+        with WorkerPool(campaign_workers=2) as pool:
+            resumed = pool.run_campaign(
+                scenarios, policies, trace, config,
+                completed={(si, pi): cell for si, pi, cell in reference},
+                on_shard_done=seen.append,
+            )
         assert seen == []
+        # No block ran, so no context was packed for the workers.
+        assert "context_publish" not in resumed.phase_timings
         _assert_cells_match(resumed, reference)
 
 
@@ -373,8 +361,8 @@ class TestWorkerContextCache:
         packed = shard._pack_context(
             ([HarvestScenario()], ["S0"], config, policies, trace)
         )
-        first, _, _ = shard._run_cell_shard(packed, [(0, 0)])
-        second, _, _ = shard._run_cell_shard(packed, [(0, 1)])
+        first, _, _ = shard._run_shard(packed, (range(0, 1), range(0, 1)))
+        second, _, _ = shard._run_shard(packed, (range(0, 1), range(1, 2)))
         assert len(unpickles) == 1  # the second task hit the cache
         assert [cell[:2] for cell in first + second] == [(0, 0), (0, 1)]
 
@@ -383,7 +371,7 @@ class TestWorkerContextCache:
             ([HarvestScenario()], ["S0"], config, policies, shorter)
         )
         assert other[0] != packed[0]
-        cells, _, _ = shard._run_cell_shard(other, [(0, 0)])
+        cells, _, _ = shard._run_shard(other, (range(0, 1), range(0, 1)))
         assert len(unpickles) == 2  # a new digest unpickles
         assert len(cells[0][2].columns) == 24
 
@@ -454,42 +442,6 @@ class TestPerScenarioBattery:
 
 
 class TestShardedExperimentAndCli:
-    def test_experiment_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            run_fleet_campaign_experiment(jobs=0, hours=24)
-
-    def test_experiment_rows_match_across_jobs(self):
-        kwargs = dict(
-            alphas=(1.0,),
-            baselines=("DP1", "DP5"),
-            exposure_factors=(0.032, 0.05),
-            hours=48,
-        )
-        single = run_fleet_campaign_experiment(jobs=1, **kwargs)
-        sharded = run_fleet_campaign_experiment(jobs=2, **kwargs)
-        assert sharded.extras["jobs"] == 2
-        assert len(single.rows) == len(sharded.rows)
-        for row_a, row_b in zip(single.rows, sharded.rows):
-            assert row_a[:2] == row_b[:2]
-            np.testing.assert_allclose(
-                [float(v) for v in row_a[2:]],
-                [float(v) for v in row_b[2:]],
-                atol=1e-9,
-            )
-
-    def test_fleet_cli_jobs_flag(self, tmp_path, capsys):
-        csv_path = tmp_path / "fleet.csv"
-        code = cli_main(
-            [
-                "fleet", "--hours", "24", "--alphas", "1.0",
-                "--baselines", "DP1", "--jobs", "2", "--csv", str(csv_path),
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "sharded fleet engine (2 jobs)" in output
-        assert csv_path.exists()
-
     def test_list_documents_serve_command(self, capsys):
         assert cli_main(["list"]) == 0
         output = capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 Covers the metrics registry's Prometheus text exposition (golden output),
 the W3C traceparent codec, span parentage across asyncio handler ->
-batcher -> pool threads and across ``run_sharded_campaign`` process
+batcher -> pool threads and across the campaign pool's process
 workers, SLO burn-rate arithmetic on injected clocks, structured JSON log
 lines, the campaign phase profiler, the per-endpoint latency histograms,
 and the client/CLI observability surface (``/metrics``, ``/stats``,
@@ -37,13 +37,13 @@ from repro.obs.profiling import PhaseProfiler
 from repro.obs.slo import DEFAULT_SLO_MS, SloTracker, parse_slo_spec
 from repro.service.client import AllocationClient, ServiceError
 from repro.service.client import main as client_main
+from repro.service.pool import WorkerPool
 from repro.service.requests import AllocationRequest, CampaignResponse
 from repro.service.server import (
     AllocationServer,
     AllocationService,
     start_in_thread,
 )
-from repro.service.shard import run_sharded_campaign
 from repro.simulation.fleet import CampaignConfig, FleetCampaign
 from repro.simulation.policies import ReapPolicy, StaticPolicy
 
@@ -250,15 +250,18 @@ class TestLatencyHistogramCompat:
 
     def test_endpoint_label_collapses_campaign_ids(self):
         label = AllocationServer._endpoint_label
-        assert label("GET", "/healthz") == "GET /healthz"
-        assert label("POST", "/allocate/batch") == "POST /allocate/batch"
-        assert label("GET", "/campaign/abc123") == "GET /campaign/*"
+        assert label("GET", "/v1/healthz") == "GET /healthz"
+        assert label("POST", "/v1/allocate/batch") == "POST /allocate/batch"
+        assert label("GET", "/v1/campaign/abc123") == "GET /campaign/*"
         assert (
-            label("GET", "/campaign/abc123/columns?format=binary&dtype=f8")
+            label("GET", "/v1/campaign/abc123/columns?format=binary&dtype=f8")
             == "GET /campaign/*/columns"
         )
-        assert label("DELETE", "/campaign/zzz") == "DELETE /campaign/*"
-        assert label("GET", "/nope") == "GET (other)"
+        assert label("DELETE", "/v1/campaign/zzz") == "DELETE /campaign/*"
+        assert label("GET", "/v1/nope") == "GET (other)"
+        # Only /v1 paths are routes; an unversioned spelling is unknown.
+        assert label("GET", "/healthz") == "GET (other)"
+        assert label("POST", "/allocate") == "POST (other)"
 
 
 # --- traceparent + spans ---------------------------------------------------------
@@ -487,14 +490,11 @@ class TestShardTracePropagation:
             for factor in (0.032, 0.05)
         ]
         policies = [ReapPolicy(points, alpha=1.0), StaticPolicy(points, "DP1")]
-        with tracing.span("test.campaign") as root:
-            result = run_sharded_campaign(
-                scenarios,
-                policies,
-                trace,
-                CampaignConfig(use_battery=True),
-                jobs=2,
-            )
+        with WorkerPool(campaign_workers=2) as pool:
+            with tracing.span("test.campaign") as root:
+                result = pool.run_campaign(
+                    scenarios, policies, trace, CampaignConfig(use_battery=True)
+                )
         assert "cell_solve" in result.phase_timings
         assert "context_publish" in result.phase_timings
         spans = tracing.recorder().spans(root.context.trace_id)

@@ -456,7 +456,7 @@ class TestPlanningPolicy:
             )
 
     def test_sharded_planning_campaign_matches_single_process(self, points):
-        from repro.service.shard import run_sharded_campaign
+        from repro.service.pool import WorkerPool
 
         trace = _trace(48)
         config = CampaignConfig(use_battery=True)
@@ -466,10 +466,9 @@ class TestPlanningPolicy:
             PlanningPolicy(points, planner="mpc", horizon_periods=8),
             ReapPolicy(points),
         ]
-        single = run_sharded_campaign(scenarios, policies, trace, config)
-        sharded = run_sharded_campaign(
-            scenarios, policies, trace, config, jobs=2
-        )
+        single = FleetCampaign(scenarios, config).run(policies, trace)
+        with WorkerPool(campaign_workers=2) as pool:
+            sharded = pool.run_campaign(scenarios, policies, trace, config)
         for scenario_index, policy_index, cell in sharded:
             reference = single.result(policy_index, scenario_index)
             np.testing.assert_allclose(

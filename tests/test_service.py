@@ -429,7 +429,7 @@ class TestHttpRoundTrip:
 
     def test_bad_request_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client._call("POST", "/allocate", {"alpha": 1.0})  # budget missing
+            client._call("POST", "/v1/allocate", {"alpha": 1.0})  # budget missing
         assert excinfo.value.status == 400
 
     def test_client_cli_round_trip(self, server, capsys):
@@ -493,47 +493,47 @@ class TestHttpErrorMapping:
     def test_malformed_json_body_is_400_with_json_error(self, server):
         body = b'{"energy_budget_j": 5.0'  # truncated JSON
         payload = (
-            b"POST /allocate HTTP/1.1\r\n"
+            b"POST /v1/allocate HTTP/1.1\r\n"
             b"Content-Type: application/json\r\n"
             + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
             + body
         )
         status, error = self._raw(server, payload)
         assert status == 400
-        assert "invalid JSON body" in error["error"]
+        assert "invalid JSON body" in error["error"]["message"]
 
     def test_body_shorter_than_content_length_is_400(self, server):
         body = b'{"energy_budget_j": 5.0}'
         payload = (
-            b"POST /allocate HTTP/1.1\r\n"
+            b"POST /v1/allocate HTTP/1.1\r\n"
             + f"Content-Length: {len(body) + 64}\r\n\r\n".encode("ascii")
             + body
         )
         status, error = self._raw(server, payload)
         assert status == 400
-        assert "Content-Length" in error["error"]
+        assert "Content-Length" in error["error"]["message"]
 
     def test_negative_content_length_is_400(self, server):
-        payload = b"POST /allocate HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+        payload = b"POST /v1/allocate HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
         status, error = self._raw(server, payload)
         assert status == 400
-        assert "Content-Length" in error["error"]
+        assert "Content-Length" in error["error"]["message"]
 
     def test_non_object_json_body_is_400(self, server):
         body = b"[1, 2, 3]"
         payload = (
-            b"POST /allocate HTTP/1.1\r\n"
+            b"POST /v1/allocate HTTP/1.1\r\n"
             + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
             + body
         )
         status, error = self._raw(server, payload)
         assert status == 400
-        assert "object" in error["error"]
+        assert "object" in error["error"]["message"]
 
     def test_unknown_endpoint_is_404_with_json_error(self, server):
         status, error = self._raw(server, b"GET /no/such/endpoint HTTP/1.1\r\n\r\n")
         assert status == 404
-        assert "/no/such/endpoint" in error["error"]
+        assert "/no/such/endpoint" in error["error"]["message"]
 
     def test_malformed_request_line_is_400(self, server):
         status, error = self._raw(server, b"NONSENSE\r\n\r\n")
@@ -676,7 +676,7 @@ class TestCampaignHttp:
         )
         try:
             connection.request(
-                "GET", f"/campaign/{submitted.campaign_id}/columns"
+                "GET", f"/v1/campaign/{submitted.campaign_id}/columns"
             )
             response = connection.getresponse()
             assert response.status == 200
@@ -709,7 +709,7 @@ class TestCampaignHttp:
 
     def test_invalid_campaign_request_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client._call("POST", "/campaign", {"alphas": []})
+            client._call("POST", "/v1/campaign", {"alphas": []})
         assert excinfo.value.status == 400
 
     def test_client_cli_campaign_round_trip(self, server, capsys):

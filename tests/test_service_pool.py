@@ -1,14 +1,16 @@
 """Tests for the service worker pool (repro.service.pool).
 
-Covers size validation, shutdown semantics and campaign execution on the
-pool's persistent process executor.  Allocation solves never reach the
-pool; ``test_service.py::TestMicroBatcher`` covers them.
+Covers size validation, shutdown semantics, worker start-up and campaign
+execution on the pool's persistent process executor.  Allocation solves
+never reach the pool; ``test_service.py::TestMicroBatcher`` covers them.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -88,10 +90,55 @@ class TestWorkerPoolCampaigns:
             for _ in range(2):
                 result = run_sharded_campaign(
                     scenarios, policies, trace, config,
-                    scenario_labels=labels, jobs=2, executor=executor,
+                    scenario_labels=labels, workers=2, executor=executor,
                 )
                 _assert_matches_local(result, local)
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError, match="campaign_workers"):
             WorkerPool(campaign_workers=0)
+
+
+class TestWorkerPoolStart:
+    def test_a_lock_held_at_the_first_campaign_does_not_reach_the_workers(self):
+        # A fork-started worker inherits every lock that some thread of
+        # the parent holds when it is forked, and blocks forever on the
+        # first one it takes.  The pool forks its workers when it is
+        # built, so a lock taken afterwards -- here the trace recorder's,
+        # which each worker takes when its campaign.shard span ends --
+        # cannot strand them.
+        (scenarios, policies, trace, config, labels), local = _grid()
+        before = set(multiprocessing.active_children())
+        pool = WorkerPool(campaign_workers=2)
+        outcome = {}
+
+        def run() -> None:
+            try:
+                with tracing.span("test.first_campaign"):
+                    outcome["result"] = pool.run_campaign(
+                        scenarios, policies, trace, config, scenario_labels=labels
+                    )
+            except BaseException as error:  # reported by the asserts below
+                outcome["error"] = error
+
+        runner = threading.Thread(target=run, daemon=True)
+        with tracing.recorder()._lock:
+            runner.start()
+            # Hold the lock until the campaign's workers exist.
+            deadline = time.monotonic() + 30.0
+            while (
+                len(set(multiprocessing.active_children()) - before) < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            time.sleep(0.2)
+        runner.join(timeout=60.0)
+        stranded = runner.is_alive()
+        if stranded:  # kill the stuck workers so the campaign thread ends
+            for child in set(multiprocessing.active_children()) - before:
+                child.kill()
+            runner.join(timeout=30.0)
+        pool.shutdown(wait=not stranded)
+        assert not stranded, "the first campaign never returned"
+        assert "error" not in outcome, outcome.get("error")
+        _assert_matches_local(outcome["result"], local)

@@ -1,8 +1,8 @@
 """Tests for the versioned ``/v1`` service API surface.
 
 Covers the uniform error envelope (``{"error": {"code", "message",
-"detail"}}`` with stable codes), the legacy-route shim and its
-``Deprecation`` header, ``Idempotency-Key`` replay on submission, the
+"detail"}}`` with stable codes), 404s for paths outside ``/v1``,
+``Idempotency-Key`` replay on submission, the
 explicit ``queued -> running -> done | failed | cancelled`` lifecycle
 (including the cancel endpoint), the store-backed lookup that turns an
 evicted campaign id into a cache miss instead of a 404, and the 503
@@ -41,7 +41,7 @@ def _raw(server, method: str, path: str, body=None, headers=None):
         connection.close()
 
 
-# --- error envelope + deprecation shim ------------------------------------------
+# --- error envelope ----------------------------------------------------------------
 class TestV1Envelope:
     @pytest.fixture(scope="class")
     def server(self):
@@ -78,20 +78,20 @@ class TestV1Envelope:
         assert status == 404
         assert payload["error"]["code"] == "not_found"
 
-    def test_legacy_route_keeps_legacy_error_shape(self, server):
-        # The shim preserves the old wire contract: a bare string under
-        # "error", no envelope -- existing parsers keep working.
-        status, headers, payload = _raw(server, "GET", "/campaign/nope")
+    def test_unversioned_path_is_not_found(self, server):
+        # Every route lives under /v1; the pre-v1 spellings are gone and
+        # answer like any unknown path, in the envelope.
+        status, headers, payload = _raw(server, "GET", "/healthz")
         assert status == 404
-        assert isinstance(payload["error"], str)
-        assert headers.get("Deprecation") == "true"
-        assert headers.get("Link") == '</v1/campaign/nope>; rel="successor-version"'
-
-    def test_legacy_success_carries_deprecation_header(self, server):
-        status, headers, _ = _raw(server, "GET", "/healthz")
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert headers.get("Link") == '</v1/healthz>; rel="successor-version"'
+        assert payload == {
+            "error": {
+                "code": "not_found",
+                "message": payload["error"]["message"],
+                "detail": None,
+            }
+        }
+        assert "/v1/" in payload["error"]["message"]
+        assert "Deprecation" not in headers
 
     def test_v1_routes_are_not_deprecated(self, server):
         status, headers, payload = _raw(server, "GET", "/v1/healthz")

@@ -2,17 +2,20 @@
 
 Covers the write-ahead contract (persist-then-ack, replay across
 re-opens), exactly-once idempotent submission, the advisory lease
-protocol (including dead-owner adoption), and corruption handling: a
-torn journal tail is dropped cleanly and a file SQLite cannot read
-raises :class:`StoreError` instead of poisoning recovery.
+protocol (including dead-owner adoption), processes opening one fresh
+store at once, and corruption handling: a torn journal tail is dropped
+cleanly and a file SQLite cannot read raises :class:`StoreError` instead
+of poisoning recovery.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import socket
 import sqlite3
 import struct
+import threading
 import time
 import zlib
 
@@ -264,6 +267,53 @@ class TestLeases:
         finally:
             other_host.close()
             living.close()
+
+
+# --- concurrent opens ------------------------------------------------------------
+def _open_at_barrier(path: str, barrier) -> None:
+    """Forked opener: open the store once all openers are ready; exit 1 on error."""
+    barrier.wait(timeout=30.0)
+    try:
+        CampaignStore(path).close()
+    except StoreError:
+        os._exit(1)
+    os._exit(0)
+
+
+class TestConcurrentOpen:
+    def test_open_waits_out_a_writer_on_a_fresh_file(self, store_path):
+        # While another connection holds a fresh file's write lock, SQLite
+        # fails the switch to WAL at once, without its busy handler.
+        blocker = sqlite3.connect(
+            store_path, isolation_level=None, check_same_thread=False
+        )
+        blocker.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.3, blocker.execute, args=("ROLLBACK",))
+        release.start()
+        try:
+            started = time.monotonic()
+            CampaignStore(store_path).close()
+            assert time.monotonic() - started >= 0.2
+        finally:
+            release.join()
+            blocker.close()
+
+    def test_four_processes_open_one_fresh_store_at_once(self, tmp_path):
+        context = multiprocessing.get_context("fork")
+        for round_index in range(60):
+            path = str(tmp_path / f"fresh-{round_index}.db")
+            barrier = context.Barrier(4)
+            openers = [
+                context.Process(target=_open_at_barrier, args=(path, barrier))
+                for _ in range(4)
+            ]
+            for opener in openers:
+                opener.start()
+            for opener in openers:
+                opener.join(timeout=60.0)
+            assert [opener.exitcode for opener in openers] == [0] * 4, (
+                f"an opener failed in round {round_index}"
+            )
 
 
 # --- corruption -----------------------------------------------------------------
