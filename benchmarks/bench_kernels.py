@@ -9,9 +9,10 @@ Three micro-benchmarks cover the kernels every engine runs:
   the per-period loop it replaced, ``BatteryScan._run_reference`` (the
   median over alternating timed pairs must be >= 3x, while staying
   bit-exact), and
-* the binary columnar wire format against the NDJSON stream for
-  ``GET /campaign/<id>/columns`` -- the float64 frames must be >= 5x
-  smaller on a multi-week campaign and round-trip byte-exactly.
+* the binary columnar stream of ``GET /campaign/<id>/columns`` against
+  the same columns as JSON lines (what ``repro.service.client campaign
+  columns`` prints) -- the float64 frames must be >= 5x smaller on a
+  multi-week campaign and round-trip byte-exactly.
 
 The ``compiled solve`` and ``compiled settle`` rows name the production
 path (jitted when Numba is installed); the ``reference`` rows are the
@@ -188,7 +189,7 @@ def test_battery_scan_speedup_over_python_loop(output_dir, published_points):
 
 @pytest.mark.benchmark(group="kernels")
 def test_binary_columns_wire_size(output_dir):
-    """Columns wire format: binary f8 frames >= 5x smaller than NDJSON."""
+    """Columns wire format: binary f8 frames >= 5x smaller than JSON lines."""
     # The paper's comparison set: REAP at alpha=1 against three static
     # baselines (the mix the service ships in practice).
     request = CampaignRequest(
@@ -200,31 +201,25 @@ def test_binary_columns_wire_size(output_dir):
     )
 
     payloads = [fleet_result.meta_payload(), *fleet_result.cell_payloads()]
-    # Matches the service's _write_stream framing: one JSON line per cell.
-    ndjson_bytes = sum(
+    # The lines `repro.service.client campaign columns` prints, one JSON
+    # line per cell: the bytes the retired NDJSON stream sent.
+    json_bytes = sum(
         len((json.dumps(payload) + "\n").encode("utf-8"))
         for payload in payloads
     )
-    binary = {
-        dtype: sum(
-            len(frame) for frame in fleet_result.to_binary_frames(dtype)
-        )
-        for dtype in ("<f8", "<f4")
-    }
+    stream = b"".join(fleet_result.to_binary_frames())
 
     # The stream and the per-cell codec must both round-trip before the
-    # size comparison means anything: byte-exact re-encode at f8.
-    stream = b"".join(fleet_result.to_binary_frames("<f8"))
+    # size comparison means anything: byte-exact re-encode.
     decoded = FleetResult.from_binary(stream)
     np.testing.assert_array_equal(
         decoded.result(0).columns.objective_value,
         fleet_result.result(0).columns.objective_value,
     )
-    blob = fleet_result.result(0).columns.to_bytes(dtype="<f8")
-    assert CampaignColumns.from_bytes(blob).to_bytes(dtype="<f8") == blob
+    blob = fleet_result.result(0).columns.to_bytes()
+    assert CampaignColumns.from_bytes(blob).to_bytes() == blob
 
-    ratio_f8 = ndjson_bytes / binary["<f8"]
-    ratio_f4 = ndjson_bytes / binary["<f4"]
+    ratio_f8 = json_bytes / len(stream)
 
     result = ExperimentResult(
         name=(
@@ -233,16 +228,15 @@ def test_binary_columns_wire_size(output_dir):
         ),
         headers=["wire format", "bytes", "kib", "size_ratio_x"],
         rows=[
-            ["ndjson stream", ndjson_bytes, ndjson_bytes / 1024, 1.0],
-            ["binary f8 frames", binary["<f8"], binary["<f8"] / 1024, ratio_f8],
-            ["binary f4 frames", binary["<f4"], binary["<f4"] / 1024, ratio_f4],
+            ["json lines", json_bytes, json_bytes / 1024, 1.0],
+            ["binary f8 frames", len(stream), len(stream) / 1024, ratio_f8],
         ],
         extras={"speedup": ratio_f8},
     )
     emit(result, output_dir, "columns_wire.csv")
 
     assert ratio_f8 >= REQUIRED_SIZE_RATIO, (
-        f"binary f8 columns are only {ratio_f8:.2f}x smaller than NDJSON "
+        f"binary f8 columns are only {ratio_f8:.2f}x smaller than JSON lines "
         f"(required {REQUIRED_SIZE_RATIO:g}x)"
     )
 

@@ -24,21 +24,15 @@ Remote campaigns
 With ``--campaign``, the demo also submits a whole fleet study over HTTP
 (``POST /v1/campaign``), polls ``GET /v1/campaign/<id>`` until the service's
 process workers finish it, streams the full per-period columns back as
-chunked NDJSON (``GET /v1/campaign/<id>/columns``), and rebuilds the
-:class:`~repro.simulation.fleet.FleetResult` client-side -- equal to a
-local :class:`~repro.simulation.fleet.FleetCampaign` run to 1e-9.  The
-same flow from the shell::
+length-prefixed binary frames (``GET /v1/campaign/<id>/columns``: float64
+columns, zlib-deflated, ~5x smaller than the same numbers as JSON), and
+rebuilds the :class:`~repro.simulation.fleet.FleetResult` client-side --
+equal to a local :class:`~repro.simulation.fleet.FleetCampaign` run to the
+last bit.  The same flow from the shell::
 
     python -m repro serve --campaign-workers 2 --port 8734 &
     python -m repro fleet --remote 127.0.0.1:8734 --hours 48
     python -m repro.service.client --port 8734 campaign run --hours 48
-
-With ``--binary`` the columns come back as the length-prefixed binary
-columnar frames instead (``GET /v1/campaign/<id>/columns?format=binary``,
-~5x smaller at float64, ~8x at float32) -- same decoded result.  Add
-``codec=raw`` to the query (``--codec raw`` on the client CLI) and the
-server streams the frames uncompressed, as zero-copy ``memoryview``
-slices over the result arrays -- more bytes on the wire, no deflate pass.
 
 All of this speaks the versioned **/v1 API** (``docs/service_api.md``):
 every error is a uniform envelope ``{"error": {"code", "message",
@@ -131,7 +125,7 @@ the per-period settle loop remain as the oracles the kernels are tested
 against, to 1e-9.
 
 Run with:  python examples/service_demo.py [--requests N] [--window-ms W]
-           [--campaign] [--binary] [--campaign-workers N] [--durable]
+           [--campaign] [--campaign-workers N] [--durable]
 """
 
 from __future__ import annotations
@@ -153,15 +147,14 @@ from repro.service.client import AllocationClient
 from repro.service.server import start_in_thread
 
 
-def run_remote_campaign(client: AllocationClient, binary: bool = False) -> None:
+def run_remote_campaign(client: AllocationClient) -> None:
     """Submit a 48-hour fleet study over HTTP and stream the columns back."""
     request = CampaignRequest(hours=48, alphas=(1.0,), baselines=("DP1",))
     submitted = client.submit_campaign(request)
     print(f"\nCampaign {submitted.campaign_id} submitted "
           f"({submitted.cells} cells); polling...")
     status = client.wait_for_campaign(submitted.campaign_id)
-    fleet = client.campaign_result(submitted.campaign_id, binary=binary)
-    wire = "binary columnar frames" if binary else "chunked NDJSON"
+    fleet = client.campaign_result(submitted.campaign_id)
     rows = [
         [cell["policy"], cell["alpha"], cell["mean_objective"],
          cell["active_hours"], cell["recognition_rate"] * 100.0]
@@ -172,7 +165,7 @@ def run_remote_campaign(client: AllocationClient, binary: bool = False) -> None:
         rows,
         title=(
             f"Remote campaign {status.campaign_id}: {fleet.num_cells} cells "
-            f"over {fleet.trace_hours} hours, streamed back as {wire}"
+            f"over {fleet.trace_hours} hours, streamed back as binary frames"
         ),
     ))
     if status.profile:
@@ -290,9 +283,6 @@ def main() -> None:
     parser.add_argument("--campaign", action="store_true",
                         help="also run a fleet campaign over HTTP and "
                              "stream its columns back")
-    parser.add_argument("--binary", action="store_true",
-                        help="stream the campaign columns as binary "
-                             "columnar frames instead of NDJSON")
     parser.add_argument("--campaign-workers", type=int, default=1,
                         help="process workers for --campaign fleet studies "
                              "(N > 1 runs one block of the grid per worker)")
@@ -414,7 +404,7 @@ def main() -> None:
             )
 
         if args.campaign:
-            run_remote_campaign(client, binary=args.binary)
+            run_remote_campaign(client)
 
     if args.durable:
         run_durable_walkthrough()

@@ -5,14 +5,14 @@ The storyline (stdlib only, drives real ``python -m repro serve``
 subprocesses):
 
 1. **Reference**: a store-less server runs the campaign start to finish;
-   its streamed columns are the ground truth.
+   its binary columns stream is the ground truth.
 2. **Victim**: a second server with ``--store`` accepts the same
    submission; the moment the journal holds at least one ``shard_done``
    record the process is SIGKILLed -- no shutdown hooks, no flush.
 3. **Recovery**: a third server re-opens the same store path.  The
    campaign id must still answer, the job must run to ``done`` (re-running
-   only the unjournaled shards), and the recovered column stream's cell
-   payloads must be **byte-identical** to the reference.
+   only the unjournaled shards), and the recovered columns stream must
+   decode and be **byte-identical** to the reference.
 4. **Exactly-once**: every (scenario, policy) cell appears in exactly one
    journaled shard record -- recovery never re-runs journaled work.
 5. **Fan-out** (``--procs 2``): a two-process SO_REUSEPORT front-end on
@@ -101,14 +101,17 @@ def wait_done(port: int, campaign_id: str, timeout_s: float = 180.0) -> None:
     raise SystemExit(f"campaign {campaign_id} never finished")
 
 
-def cell_lines(port: int, campaign_id: str):
-    """The sorted per-cell NDJSON lines (meta line excluded)."""
+def columns(port: int, campaign_id: str) -> bytes:
+    """The campaign's binary columns stream, checked to decode."""
+    sys.path.insert(0, SRC)
+    from repro.simulation.fleet import FleetResult
+
     with urllib.request.urlopen(
         f"http://127.0.0.1:{port}/v1/campaign/{campaign_id}/columns"
     ) as reply:
         raw = reply.read()
-    lines = [line for line in raw.split(b"\n") if line.strip()]
-    return sorted(lines[1:])
+    FleetResult.from_binary(raw)
+    return raw
 
 
 def shard_record_count(store: Path) -> int:
@@ -126,7 +129,7 @@ def shard_record_count(store: Path) -> int:
 
 def assert_exactly_once(store: Path) -> None:
     sys.path.insert(0, SRC)
-    from repro.service.store import decode_cells
+    from repro.simulation.fleet import decode_cells
 
     connection = sqlite3.connect(str(store))
     try:
@@ -137,7 +140,7 @@ def assert_exactly_once(store: Path) -> None:
         connection.close()
     counts: dict = {}
     for (payload,) in rows:
-        for scenario, policy, _cell in decode_cells(payload):
+        for scenario, policy, _cell in decode_cells(payload, journal=True):
             counts[(scenario, policy)] = counts.get((scenario, policy), 0) + 1
     doubled = {key: count for key, count in counts.items() if count != 1}
     if not counts or doubled:
@@ -160,11 +163,11 @@ def main() -> int:
         try:
             reference_id = submit(port)["campaign_id"]
             wait_done(port, reference_id)
-            reference = cell_lines(port, reference_id)
+            reference = columns(port, reference_id)
         finally:
             process.terminate()
             process.wait(timeout=15)
-        log(f"reference columns: {len(reference)} cells")
+        log(f"reference columns: {len(reference)} bytes")
 
         log("stage 2: submit against --store, SIGKILL mid-campaign")
         process, port = serve(
@@ -187,14 +190,14 @@ def main() -> int:
         )
         try:
             wait_done(port, campaign_id)
-            recovered = cell_lines(port, campaign_id)
+            recovered = columns(port, campaign_id)
         finally:
             process.send_signal(signal.SIGKILL)
             process.wait(timeout=15)
         if recovered != reference:
             raise SystemExit(
                 "recovered columns differ from the reference run "
-                f"({len(recovered)} vs {len(reference)} cells)"
+                f"({len(recovered)} vs {len(reference)} bytes)"
             )
         log("recovered columns byte-identical to the reference")
 
@@ -214,7 +217,7 @@ def main() -> int:
                     time.sleep(0.01)
                 if len(pids) != 2:
                     raise SystemExit(f"only {pids} answered /v1/healthz")
-                reserved = cell_lines(port, campaign_id)
+                reserved = columns(port, campaign_id)
                 if reserved != reference:
                     raise SystemExit("fan-out columns differ from reference")
                 log(f"two front-ends ({sorted(pids)}) re-serve the columns")

@@ -111,13 +111,13 @@ COMMANDS: Dict[str, str] = {
     "sweep": "objective sweep over budgets (batch or scalar engine)",
     "fleet": "closed-loop fleet study; --planners adds forecast-driven "
              "planning policies, --remote HOST:PORT submits it to a service "
-             "(--binary fetches compact binary columns), --profile "
+             "(columns come back as binary frames), --profile "
              "writes per-phase timings to JSON",
     "plan": "single-device horizon study: forecast-driven planning "
             "(horizon-average or MPC) vs harvest-following REAP",
     "serve": "run the JSON-over-HTTP allocation service (micro-batching + "
              "cache + worker pool + versioned /v1 campaign endpoints); "
-             "columns stream as NDJSON or binary (?format=binary), "
+             "columns stream as binary float64/zlib frames, "
              "--slo-ms sets latency "
              "objectives (/metrics, /trace/<id>, --log-format json for "
              "traced logs), --store journals campaigns durably (restart "
@@ -210,7 +210,7 @@ def _command_fleet_remote(args: argparse.Namespace) -> int:
     )
     client = AllocationClient(host=host or "127.0.0.1", port=port_number)
     try:
-        status, fleet_result = client.run_campaign(request, binary=args.binary)
+        status, fleet_result = client.run_campaign(request)
     except (ServiceError, OSError, TimeoutError) as error:
         print(f"remote fleet campaign failed: {error}", file=sys.stderr)
         return 1
@@ -225,10 +225,9 @@ def _command_fleet_remote(args: argparse.Namespace) -> int:
         use_battery=not args.open_loop,
     )
     print(result.to_text())
-    wire = "binary columnar frames" if args.binary else "chunked NDJSON"
     print(
         f"\n{fleet_result.num_cells} campaign cells simulated remotely; "
-        f"columns streamed back as {wire}"
+        "columns streamed back as binary columnar frames"
     )
     try:
         stats = client.stats()
@@ -287,13 +286,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
         return 2
     if args.remote:
         return _command_fleet_remote(args)
-    if args.binary:
-        print(
-            "--binary picks the wire format for --remote columns; "
-            "local runs never serialise (drop --binary or add --remote)",
-            file=sys.stderr,
-        )
-        return 2
     result = run_fleet_campaign_experiment(
         alphas=args.alphas,
         baselines=args.baselines,
@@ -485,12 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--remote", default=None, metavar="HOST:PORT",
         help="submit the study to a running allocation service instead of "
              "simulating locally (POST /campaign; columns stream back as "
-             "chunked NDJSON)",
-    )
-    fleet_parser.add_argument(
-        "--binary", action="store_true",
-        help="with --remote: fetch the columns as the compact binary "
-             "columnar wire format instead of NDJSON",
+             "binary columnar frames)",
     )
     fleet_parser.add_argument(
         "--profile", nargs="?", const="profile.json", default=None,

@@ -3,8 +3,8 @@
 :class:`AllocationClient` is a small blocking client for the JSON-over-HTTP
 protocol of :mod:`repro.service.server`: one connection per call, typed
 requests in, typed responses out -- including fleet campaigns submitted
-with ``POST /campaign`` and streamed back as chunked NDJSON columns.  It
-doubles as a command-line tool for shell scripting (the CI smoke test
+with ``POST /campaign`` and fetched back as the binary columnar stream.
+It doubles as a command-line tool for shell scripting (the CI smoke test
 drives a live server with it)::
 
     python -m repro.service.client --port 8734 health
@@ -24,9 +24,10 @@ drives a live server with it)::
     python -m repro.service.client --port 8734 campaign delete c1
 
 Each command prints the server's JSON reply on stdout and exits non-zero on
-transport or HTTP errors.  All requests go to the versioned ``/v1/...``
-routes; error replies carry the uniform envelope, surfaced through
-:attr:`ServiceError.code`.
+transport or HTTP errors; ``campaign columns`` decodes the binary stream
+and prints one JSON line for the grid's meta, then one per cell.  All
+requests go to the versioned ``/v1/...`` routes; error replies carry the
+uniform envelope, surfaced through :attr:`ServiceError.code`.
 
 Every request carries a W3C ``traceparent`` header -- a fresh trace per
 call by default, or a fixed one via ``traceparent=`` /
@@ -42,7 +43,7 @@ import http.client
 import json
 import sys
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import tracing
 from repro.service.requests import (
@@ -294,14 +295,11 @@ class AllocationClient:
                 )
             time.sleep(poll_s)
 
-    def campaign_payloads(
-        self, campaign_id: str
-    ) -> Iterator[Dict[str, Any]]:
-        """``GET /campaign/<id>/columns``: decode the NDJSON stream lazily.
+    def campaign_columns_binary(self, campaign_id: str) -> bytes:
+        """``GET /campaign/<id>/columns``: the binary columns stream.
 
-        Yields the meta payload first, then one payload per (scenario,
-        policy) cell, as the chunks arrive -- the whole grid is never
-        buffered as one JSON document on either side.
+        The returned bytes decode with
+        :meth:`repro.simulation.fleet.FleetResult.from_binary`.
         """
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout_s
@@ -313,42 +311,6 @@ class AllocationClient:
                 headers=self._trace_headers(),
             )
             response = connection.getresponse()
-            if response.status != 200:
-                raw = response.read()
-                payload = json.loads(raw.decode("utf-8")) if raw else None
-                raise ServiceError(response.status, payload)
-            for line in response:
-                line = line.strip()
-                if line:
-                    yield json.loads(line.decode("utf-8"))
-        finally:
-            connection.close()
-
-    def campaign_columns_binary(
-        self, campaign_id: str, dtype: str = "f8", codec: str = "zlib"
-    ) -> bytes:
-        """``GET /campaign/<id>/columns?format=binary``: the raw byte stream.
-
-        ``dtype`` is ``"f8"`` (lossless, the default) or ``"f4"``
-        (float32, roughly half the float payload).  ``codec`` is
-        ``"zlib"`` (deflated frames, the default) or ``"raw"``
-        (uncompressed -- the server streams zero-copy views, trading
-        bytes on the wire for no encode cost; the server deflates each
-        f8/zlib cell at most once, so after a job's first zlib fetch raw
-        saves nothing).  The returned bytes decode
-        with :meth:`repro.simulation.fleet.FleetResult.from_binary`.
-        """
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-        try:
-            connection.request(
-                "GET",
-                f"/v1/campaign/{campaign_id}/columns"
-                f"?format=binary&dtype={dtype}&codec={codec}",
-                headers=self._trace_headers(),
-            )
-            response = connection.getresponse()
             raw = response.read()
             if response.status != 200:
                 payload = json.loads(raw.decode("utf-8")) if raw else None
@@ -357,45 +319,28 @@ class AllocationClient:
         finally:
             connection.close()
 
-    def campaign_result(
-        self,
-        campaign_id: str,
-        binary: bool = False,
-        dtype: str = "f8",
-        codec: str = "zlib",
-    ):
+    def campaign_result(self, campaign_id: str):
         """Rebuild the campaign's full :class:`FleetResult` from the stream.
 
-        The reconstruction equals the local
-        :class:`~repro.simulation.fleet.FleetCampaign` run to
-        floating-point round-off.  With ``binary`` the columns travel as
-        the compact binary wire format instead of NDJSON -- identical
-        float64 payloads, a fraction of the bytes.
+        The float64 columns arrive losslessly, so the reconstruction
+        equals the local :class:`~repro.simulation.fleet.FleetCampaign`
+        run to the last bit.
         """
         # Imported lazily: plain allocate/stats clients never touch the
         # simulation stack.
         from repro.simulation.fleet import FleetResult
 
-        if binary:
-            return FleetResult.from_binary(
-                self.campaign_columns_binary(campaign_id, dtype=dtype, codec=codec)
-            )
-        payloads = self.campaign_payloads(campaign_id)
-        meta = next(payloads)
-        return FleetResult.from_payloads(meta, payloads)
+        return FleetResult.from_binary(self.campaign_columns_binary(campaign_id))
 
     def run_campaign(
-        self,
-        request: CampaignRequest,
-        timeout_s: float = 300.0,
-        binary: bool = False,
+        self, request: CampaignRequest, timeout_s: float = 300.0
     ) -> Tuple[CampaignResponse, Any]:
         """Submit, wait, and fetch: one call from study to FleetResult."""
         submitted = self.submit_campaign(request)
         status = self.wait_for_campaign(
             submitted.campaign_id, timeout_s=timeout_s
         )
-        return status, self.campaign_result(submitted.campaign_id, binary=binary)
+        return status, self.campaign_result(submitted.campaign_id)
 
 
 # --- human-readable stats ---------------------------------------------------------
@@ -725,17 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
     events.add_argument("id")
     columns = verbs.add_parser(
         "columns",
-        help="stream a finished campaign's columns (NDJSON by default)",
+        help="fetch a finished campaign's columns and print them as JSON "
+             "lines (the grid's meta, then one line per cell)",
     )
     columns.add_argument("id")
-    columns.add_argument("--binary", action="store_true",
-                         help="fetch the compact binary columnar wire "
-                              "format and decode it locally")
-    columns.add_argument("--dtype", default="f8", choices=["f8", "f4"],
-                         help="binary float width (f8 is lossless)")
-    columns.add_argument("--codec", default="zlib", choices=["zlib", "raw"],
-                         help="binary frame codec (raw streams zero-copy "
-                              "views, skipping the deflate pass)")
     return parser
 
 
@@ -777,19 +715,10 @@ def _campaign_command(client: AllocationClient, args: argparse.Namespace) -> Any
         return client.delete_campaign(args.id)
     if args.verb == "events":
         return client.campaign_events(args.id)
-    # columns: stream the NDJSON lines straight through, one per payload.
-    if args.binary:
-        # Fetch over the binary wire, then print the same per-cell lines
-        # the NDJSON path would -- identical output, a fraction of the
-        # transferred bytes.
-        result = client.campaign_result(
-            args.id, binary=True, dtype=args.dtype, codec=args.codec
-        )
-        print(json.dumps(result.meta_payload()))
-        for payload in result.cell_payloads():
-            print(json.dumps(payload))
-        return None
-    for payload in client.campaign_payloads(args.id):
+    # columns: decode the binary stream, print one JSON line per payload.
+    result = client.campaign_result(args.id)
+    print(json.dumps(result.meta_payload()))
+    for payload in result.cell_payloads():
         print(json.dumps(payload))
     return None
 

@@ -14,7 +14,8 @@ payload -- coalesce into a handful of vectorized solves.  Every solve, and
 every campaign scan, runs the one kernel path of :mod:`repro.core.kernels`
 (jitted when Numba imports); requests do not pick kernels.  The HTTP layer is
 a deliberately small HTTP/1.1 subset (one request per connection,
-``Content-Length`` bodies) built on :func:`asyncio.start_server`; no
+``Content-Length`` bodies, 408 for a request not received within
+:data:`REQUEST_READ_TIMEOUT_S`) built on :func:`asyncio.start_server`; no
 third-party framework is required, mirroring how long-running energy
 services keep their protocol surface auditable.
 
@@ -72,19 +73,16 @@ Endpoints (shown without their ``/v1`` prefix)
     the next shard boundary and reports ``cancelled``.  Terminal jobs
     answer 409.
 ``GET /campaign/<id>/columns``
-    Stream the finished campaign's full per-period columns back as
-    chunked NDJSON: one meta line, then one line per (scenario, policy)
-    cell.  ``?format=binary`` negotiates the compact binary columnar wire
-    format instead (length-prefixed zlib-deflated frames, see
-    :meth:`repro.simulation.fleet.FleetResult.to_binary_frames`);
-    ``?format=binary&dtype=f4`` sends float32 frames and
-    ``?format=binary&codec=raw`` skips compression -- the raw stream is
-    zero-copy ``memoryview`` slices of the retained columns.  The default
-    f8/zlib stream deflates each cell at most once: with a store it splices
-    the frames the campaign workers deflated and the journal holds; without
-    one, the first such fetch deflates and the job keeps the frames.
-    NDJSON stays the default; unknown ``format``/``dtype``/``codec`` values
-    answer 400.
+    Stream the finished campaign's full per-period columns back as the
+    binary columnar wire format, chunked: a meta frame, then one
+    float64/zlib cell record per (scenario, policy) cell (see
+    :meth:`repro.simulation.fleet.FleetResult.to_binary_frames`).  Each
+    cell is deflated at most once: with a store the stream splices the
+    frames the campaign workers deflated and the journal holds; without
+    one, the first fetch deflates and the job keeps the frames.  There is
+    one encoding: the ``format``, ``dtype`` and ``codec`` query values
+    that name it (``binary``, ``f8``, ``zlib``) are accepted, any other
+    value answers 400.
 ``DELETE /campaign/<id>``
     Drop a finished campaign and free its retained columns; the id 404s
     afterwards.  Pending/running jobs answer 409.
@@ -111,7 +109,6 @@ from typing import (
     Any,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -144,6 +141,14 @@ from repro.service.store import (
 
 #: Largest request body the server will read, in bytes.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Seconds a client has to send one whole request, head and body; a
+#: slower one is answered 408 (``request_timeout``) and disconnected.
+REQUEST_READ_TIMEOUT_S = 30.0
+
+#: ``GET /campaign/<id>/columns`` query values naming the one encoding
+#: (older clients send them); any other value answers 400.
+_COLUMNS_QUERY = {"format": "binary", "dtype": "f8", "codec": "zlib"}
 
 #: Campaign ids are ``c1``, ``c2``, ... (per process, or store-wide when a
 #: durable store allocates them).
@@ -1003,6 +1008,7 @@ _DEFAULT_ERROR_CODES = {
     400: "bad_request",
     404: "not_found",
     405: "method_not_allowed",
+    408: "request_timeout",
     409: "conflict",
     413: "payload_too_large",
     500: "internal",
@@ -1041,13 +1047,6 @@ class _HttpError(Exception):
         }
 
 
-class _StreamingPayloads:
-    """Dispatch result asking for chunked NDJSON instead of one JSON body."""
-
-    def __init__(self, payloads: Iterator[Dict[str, Any]]) -> None:
-        self.payloads = payloads
-
-
 class _StreamingFrames:
     """Dispatch result asking for chunked binary frames (octet-stream)."""
 
@@ -1074,6 +1073,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
@@ -1083,31 +1083,15 @@ _STATUS_TEXT = {
 
 def _encode_response(
     status: int,
-    payload: Dict[str, Any],
+    body: bytes,
+    content_type: str,
     extra_headers: Sequence[str] = (),
 ) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
+    """One complete HTTP response: status line, headers, ``body``."""
     extras = "".join(f"{header}\r\n" for header in extra_headers)
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-        "Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"{extras}"
-        "Connection: close\r\n"
-        "\r\n"
-    ).encode("ascii")
-    return head + body
-
-
-def _encode_text_response(
-    result: "_PlainText", extra_headers: Sequence[str] = ()
-) -> bytes:
-    body = result.text.encode("utf-8")
-    extras = "".join(f"{header}\r\n" for header in extra_headers)
-    head = (
-        f"HTTP/1.1 {result.status} "
-        f"{_STATUS_TEXT.get(result.status, 'Unknown')}\r\n"
-        f"Content-Type: {result.content_type}\r\n"
+        f"Content-Type: {content_type}\r\n"
         f"Content-Length: {len(body)}\r\n"
         f"{extras}"
         "Connection: close\r\n"
@@ -1123,8 +1107,24 @@ async def _read_request(
 
     Header names are lower-cased; a repeated header keeps its last value
     (the subset the service reads -- ``content-length``, ``traceparent``
-    -- has no list semantics).
+    -- has no list semantics).  A request not received within
+    :data:`REQUEST_READ_TIMEOUT_S` raises a 408.
     """
+    try:
+        return await asyncio.wait_for(
+            _parse_request(reader), REQUEST_READ_TIMEOUT_S
+        )
+    except asyncio.TimeoutError:
+        raise _HttpError(
+            408,
+            f"request not received within {REQUEST_READ_TIMEOUT_S:g} s",
+        )
+
+
+async def _parse_request(
+    reader: asyncio.StreamReader,
+) -> Tuple[str, str, Dict[str, str], Optional[Dict[str, Any]]]:
+    """The body of :func:`_read_request`, without its deadline."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
@@ -1265,19 +1265,20 @@ class AllocationServer:
             extra_headers = (
                 (f"traceparent: {trace_ctx.traceparent()}",) if trace_ctx else ()
             )
-            if isinstance(result, _StreamingPayloads):
-                status = 200
-                await self._write_stream(writer, result, extra_headers)
-            elif isinstance(result, _StreamingFrames):
+            if isinstance(result, _StreamingFrames):
                 status = 200
                 await self._write_frames(writer, result, extra_headers)
-            elif isinstance(result, _PlainText):
-                status = result.status
-                writer.write(_encode_text_response(result, extra_headers))
-                await writer.drain()
             else:
-                status, payload = result
-                writer.write(_encode_response(status, payload, extra_headers))
+                if isinstance(result, _PlainText):
+                    status, content_type = result.status, result.content_type
+                    body = result.text.encode("utf-8")
+                else:
+                    status, payload = result
+                    content_type = "application/json"
+                    body = json.dumps(payload).encode("utf-8")
+                writer.write(
+                    _encode_response(status, body, content_type, extra_headers)
+                )
                 await writer.drain()
             if label is not None:
                 elapsed = time.perf_counter() - started
@@ -1307,13 +1308,8 @@ class AllocationServer:
     ) -> None:
         """Write binary wire frames with chunked transfer encoding.
 
-        One HTTP chunk per frame, drained as produced -- mirrors
-        :meth:`_write_stream`, with ``application/octet-stream`` bytes in
-        place of NDJSON lines.  Frames may be ``memoryview`` slices of
-        the retained columns (the zero-copy raw codec): sizes come from
-        ``nbytes`` (``len`` of a non-byte view counts elements) and each
-        piece is written separately -- concatenating would both copy and
-        raise (``bytes + memoryview`` is a ``TypeError``).
+        One HTTP chunk per frame, drained as produced, so a client can
+        decode cell by cell while later cells are still being encoded.
         """
         extras = "".join(f"{header}\r\n" for header in extra_headers)
         head = (
@@ -1327,43 +1323,11 @@ class AllocationServer:
         writer.write(head)
         await writer.drain()
         for frame in stream.frames:
-            nbytes = (
-                frame.nbytes if isinstance(frame, memoryview) else len(frame)
-            )
-            if not nbytes:
+            if not frame:
                 continue  # zero-length HTTP chunk would terminate the stream
-            writer.write(f"{nbytes:x}\r\n".encode("ascii"))
+            writer.write(f"{len(frame):x}\r\n".encode("ascii"))
             writer.write(frame)
             writer.write(b"\r\n")
-            await writer.drain()
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-
-    @staticmethod
-    async def _write_stream(
-        writer: asyncio.StreamWriter,
-        stream: "_StreamingPayloads",
-        extra_headers: Sequence[str] = (),
-    ) -> None:
-        """Write NDJSON payloads with chunked transfer encoding.
-
-        One HTTP chunk per JSON line, drained as produced -- a client can
-        decode cell by cell while later cells are still being encoded.
-        """
-        extras = "".join(f"{header}\r\n" for header in extra_headers)
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            f"{extras}"
-            "Connection: close\r\n"
-            "\r\n"
-        ).encode("ascii")
-        writer.write(head)
-        await writer.drain()
-        for payload in stream.payloads:
-            line = (json.dumps(payload) + "\n").encode("utf-8")
-            writer.write(f"{len(line):x}\r\n".encode("ascii") + line + b"\r\n")
             await writer.drain()
         writer.write(b"0\r\n\r\n")
         await writer.drain()
@@ -1534,39 +1498,15 @@ class AllocationServer:
                         "campaign_id": campaign_id, "status": job.status,
                     },
                 )
-            result = job.result
-            assert result is not None
-            columns_format = query.get("format", "ndjson")
-            if columns_format == "ndjson":
-                return _StreamingPayloads(
-                    itertools.chain(
-                        [result.meta_payload()], result.cell_payloads()
-                    )
-                )
-            if columns_format == "binary":
-                dtype_name = query.get("dtype", "f8")
-                dtype = {"f8": "<f8", "f4": "<f4"}.get(dtype_name)
-                if dtype is None:
+            for key, value in _COLUMNS_QUERY.items():
+                if query.get(key, value) != value:
                     raise _HttpError(
                         400,
-                        f"unknown columns dtype {dtype_name!r}; "
-                        "expected 'f8' or 'f4'",
+                        f"columns have one encoding; {key}={query[key]!r} "
+                        f"is not it (expected {key}={value!r})",
                     )
-                codec = query.get("codec", "zlib")
-                if codec not in ("zlib", "raw"):
-                    raise _HttpError(
-                        400,
-                        f"unknown columns codec {codec!r}; "
-                        "expected 'zlib' or 'raw'",
-                    )
-                return _StreamingFrames(
-                    result.to_binary_frames(dtype, compress=codec == "zlib")
-                )
-            raise _HttpError(
-                400,
-                f"unknown columns format {columns_format!r}; "
-                "expected 'ndjson' or 'binary'",
-            )
+            assert job.result is not None
+            return _StreamingFrames(job.result.to_binary_frames())
         raise _HttpError(404, f"unknown path {path!r}")
 
     @staticmethod

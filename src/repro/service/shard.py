@@ -20,10 +20,10 @@ worker unpickles it once per context digest and keeps it in a small
 cache (:func:`_load_context`), so a persistent pool serving repeated
 campaigns pays the unpickle once per worker rather than once per task.
 Results come back pickled through the executor's result pipe.  A durable
-campaign's workers return their cells as one
-:func:`repro.service.store.encode_cells` payload instead: each cell is
-deflated once, in the worker, and the journal record and the binary
-columns stream reuse those bytes.
+campaign's workers return their cells encoded instead, as the one
+campaign codec's cell records (:func:`repro.simulation.fleet.encode_cells`):
+each cell is deflated once, in the worker, and the journal record and the
+binary columns stream reuse those bytes.
 """
 
 from __future__ import annotations
@@ -37,15 +37,19 @@ from repro.harvesting.solar_cell import HarvestScenario
 from repro.harvesting.traces import SolarTrace
 from repro.obs import tracing
 from repro.obs.profiling import PhaseProfiler
-from repro.simulation.fleet import CampaignConfig, FleetCampaign, FleetResult
+from repro.simulation.fleet import (
+    CampaignConfig,
+    Cell,
+    FleetCampaign,
+    FleetResult,
+    decode_cells,
+    encode_cells,
+)
 from repro.simulation.metrics import CampaignResult
 from repro.simulation.policies import Policy
 
 #: A rectangle of a campaign grid: (scenario indices, policy indices).
 Block = Tuple[range, range]
-
-#: One simulated cell in grid coordinates: (scenario, policy, result).
-Cell = Tuple[int, int, CampaignResult]
 
 
 def _runs(count: int, parts: int) -> List[range]:
@@ -175,7 +179,7 @@ def _run_shard(
     """Worker: simulate one block, return its cells.
 
     With ``encode`` (durable campaigns) the cells come back as one
-    :func:`repro.service.store.encode_cells` payload, timed as the
+    :func:`repro.simulation.fleet.encode_cells` payload, timed as the
     ``encode`` phase, instead of as :class:`CampaignResult` objects.
 
     The trace context travels as a per-task argument, *not* inside the
@@ -188,8 +192,6 @@ def _run_shard(
         cells = _run_block(context, block, profiler)
         if not encode:
             return cells
-        from repro.service.store import encode_cells
-
         with profiler.phase("encode"):
             return encode_cells(cells)
 
@@ -322,8 +324,6 @@ def run_sharded_campaign(
             profiler.merge(phases)
             tracing.ingest(spans)
             if durable:
-                from repro.service.store import decode_cells
-
                 with profiler.phase("decode"):
                     cells = decode_cells(cells)
             merge_cells(cells)

@@ -20,16 +20,16 @@ each carrying a CRC-32 over its payload:
     Execution began; records the resolved trace length.  A job may carry
     several ``start`` records (one per crash/recovery attempt).
 ``shard_done``
-    One campaign worker's chunk of the grid finished: the float64/zlib
-    frames of its (scenario, policy) cells
-    (:meth:`repro.simulation.metrics.CampaignColumns.to_bytes` plus
-    battery trajectories).  The worker deflates each cell once
-    (:func:`encode_cells`); the parent decodes the payload, journals the
-    same frames and keeps them on the cells, which is what the f8/zlib
-    ``?format=binary`` columns stream splices.  A durable campaign runs
-    one chunk per campaign worker, so a kill loses at most the chunks in
-    flight; on recovery, cells with a journaled ``shard_done`` are *not*
-    re-run.
+    One campaign worker's chunk of the grid finished: its (scenario,
+    policy) cells as :func:`repro.simulation.fleet.encode_cell` records,
+    the one campaign codec (float64/zlib column frames plus battery
+    trajectories) that the ``/columns`` stream serves too.  The worker
+    deflates each cell once and returns the records; the parent decodes
+    them, journals the same frames and keeps them on the cells, which is
+    what the columns stream splices.  A durable campaign runs one chunk
+    per campaign worker, so a kill loses at most the chunks in flight; on
+    recovery, cells with a journaled ``shard_done`` are *not* re-run.  A
+    record that does not decode raises :class:`StoreError` on replay.
 ``finish``
     The grid-shape meta payload.  The full result is never duplicated:
     :meth:`load_result` reassembles it from the journaled shard frames.
@@ -71,7 +71,6 @@ import json
 import os
 import socket
 import sqlite3
-import struct
 import threading
 import time
 import uuid
@@ -186,107 +185,6 @@ class JobRecord:
     def finished(self) -> bool:
         """Whether the job reached a terminal state."""
         return self.status in ("done", "failed", "cancelled")
-
-
-# --- cell frame codec ---------------------------------------------------------
-def _frame(blob: bytes) -> bytes:
-    return struct.pack("<Q", len(blob)) + blob
-
-
-def _read_frame(blob: bytes, offset: int, what: str) -> Tuple[bytes, int]:
-    if offset + 8 > len(blob):
-        raise StoreError(f"journal payload truncated before {what}")
-    (length,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    if offset + length > len(blob):
-        raise StoreError(f"journal payload truncated inside {what}")
-    return blob[offset : offset + length], offset + length
-
-
-def encode_cells(cells: Sequence[Tuple[int, int, Any]]) -> bytes:
-    """Serialize one shard's (scenario, policy, CampaignResult) cells.
-
-    Per cell: a length-prefixed JSON header, then the cell's
-    :meth:`~repro.simulation.metrics.CampaignResult.wire_frames`, each
-    length-prefixed: the
-    :meth:`~repro.simulation.metrics.CampaignColumns.to_bytes` frame
-    (zlib-deflated float64 -- the lossless wire dtype) and, when present,
-    a deflated ``<f8`` battery-trajectory frame.  Cells that already hold
-    their frames (decoded from a worker's payload) are re-framed without
-    deflating again.  The decoded cells equal the originals to the last
-    bit; this is what makes "re-run only the unfinished shards" exact
-    rather than approximate.
-    """
-    parts: List[bytes] = []
-    for scenario_index, policy_index, result in cells:
-        columns_frame, battery_frame = result.wire_frames()
-        header = {
-            "scenario_index": int(scenario_index),
-            "policy_index": int(policy_index),
-            "policy_name": str(result.policy_name),
-            "alpha": float(result.alpha),
-            "has_battery": battery_frame is not None,
-        }
-        parts.append(
-            _frame(json.dumps(header, separators=(",", ":")).encode("utf-8"))
-        )
-        parts.extend(
-            _frame(frame)
-            for frame in (columns_frame, battery_frame)
-            if frame is not None
-        )
-    return b"".join(parts)
-
-
-def decode_cells(blob: bytes) -> List[Tuple[int, int, Any]]:
-    """Decode one :func:`encode_cells` payload back into grid cells.
-
-    Each cell keeps the frames it was decoded from, so re-encoding it
-    (journal, f8/zlib columns stream) deflates nothing.
-    """
-    import numpy as np
-
-    from repro.simulation.metrics import CampaignColumns, CampaignResult
-
-    cells: List[Tuple[int, int, Any]] = []
-    offset = 0
-    index = 0
-    while offset < len(blob):
-        head_blob, offset = _read_frame(blob, offset, f"cell {index} header")
-        try:
-            head = json.loads(head_blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise StoreError(f"malformed cell {index} header: {error}") from error
-        columns_blob, offset = _read_frame(blob, offset, f"cell {index} columns")
-        try:
-            columns = CampaignColumns.from_bytes(columns_blob)
-        except ValueError as error:
-            raise StoreError(f"malformed cell {index} columns: {error}") from error
-        battery = battery_blob = None
-        if head.get("has_battery"):
-            battery_blob, offset = _read_frame(
-                blob, offset, f"cell {index} battery"
-            )
-            try:
-                battery_bytes = zlib.decompress(battery_blob)
-            except zlib.error as error:
-                raise StoreError(
-                    f"cell {index} battery frame corrupt: {error}"
-                ) from error
-            battery = np.frombuffer(battery_bytes, dtype="<f8").astype(float)
-        cells.append((
-            int(head["scenario_index"]),
-            int(head["policy_index"]),
-            CampaignResult.from_columns(
-                str(head["policy_name"]),
-                float(head["alpha"]),
-                columns,
-                battery_charge_j=battery,
-                wire_frames=(columns_blob, battery_blob),
-            ),
-        ))
-        index += 1
-    return cells
 
 
 def _default_owner() -> str:
@@ -589,6 +487,8 @@ class CampaignStore:
         self, job_id: str, cells: Sequence[Tuple[int, int, Any]]
     ) -> None:
         """Journal one completed shard's cells (persist before proceeding)."""
+        from repro.simulation.fleet import encode_cells
+
         self._append(job_id, "shard_done", encode_cells(cells))
 
     def finish(self, job_id: str, result: Any) -> None:
@@ -673,7 +573,9 @@ class CampaignStore:
                 record.status = "running"
             elif kind == "shard_done":
                 record.shard_seqs.append(int(seq))
-                record.done_cells.extend(self._shard_cell_ids(payload, seq))
+                record.done_cells.extend(
+                    self._decode_shard(seq, payload, ids_only=True)
+                )
             elif kind == "finish":
                 record.result_meta = self._decode_json(seq, payload)
                 record.status = "done"
@@ -700,32 +602,21 @@ class CampaignStore:
         return body
 
     @staticmethod
-    def _shard_cell_ids(payload: bytes, seq: int) -> List[Tuple[int, int]]:
-        """The (scenario, policy) ids of one shard payload, headers only."""
-        ids: List[Tuple[int, int]] = []
-        offset = 0
-        index = 0
-        while offset < len(payload):
-            try:
-                head_blob, offset = _read_frame(
-                    payload, offset, f"cell {index} header"
-                )
-                head = json.loads(head_blob.decode("utf-8"))
-                columns_blob, offset = _read_frame(
-                    payload, offset, f"cell {index} columns"
-                )
-                del columns_blob
-                if head.get("has_battery"):
-                    _, offset = _read_frame(
-                        payload, offset, f"cell {index} battery"
-                    )
-            except (StoreError, UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise StoreError(
-                    f"journal record {seq} shard payload is malformed: {error}"
-                ) from error
-            ids.append((int(head["scenario_index"]), int(head["policy_index"])))
-            index += 1
-        return ids
+    def _decode_shard(seq: int, payload: bytes, ids_only: bool = False) -> list:
+        """One ``shard_done`` record's cells, or only their (scenario,
+        policy) ids, through the campaign codec
+        (:func:`repro.simulation.fleet.decode_cells`); a malformed payload
+        raises :class:`StoreError`."""
+        from repro.simulation.fleet import cell_ids, decode_cells
+
+        try:
+            if ids_only:
+                return cell_ids(payload)
+            return decode_cells(payload, journal=True)
+        except ValueError as error:
+            raise StoreError(
+                f"journal record {seq} shard payload is malformed: {error}"
+            ) from error
 
     def done_cells(self, job_id: str) -> Dict[Tuple[int, int], Any]:
         """Decode every journaled shard of one job into grid cells.
@@ -744,11 +635,13 @@ class CampaignStore:
                 ).fetchall()
             except sqlite3.DatabaseError as error:
                 raise StoreError(f"shard replay failed: {error}") from error
-        cells: Dict[Tuple[int, int], Any] = {}
-        for _seq, payload in rows:
-            for scenario_index, policy_index, result in decode_cells(payload):
-                cells[(scenario_index, policy_index)] = result
-        return cells
+        return {
+            (scenario_index, policy_index): result
+            for seq, payload in rows
+            for scenario_index, policy_index, result in self._decode_shard(
+                seq, payload
+            )
+        }
 
     def load_result(self, job_id: str):
         """Reassemble a finished job's :class:`FleetResult` from the journal.
@@ -768,34 +661,18 @@ class CampaignStore:
                 f"job {job_id!r} is {record.status}; only finished jobs "
                 "have a stored result"
             )
-        meta = record.result_meta
-        labels = list(meta["scenario_labels"])
-        names = list(meta["policy_names"])
-        grid: List[List[Optional[Any]]] = [[None] * len(names) for _ in labels]
-        for (scenario_index, policy_index), cell in self.done_cells(
-            job_id
-        ).items():
-            grid[scenario_index][policy_index] = cell
-        missing = [
-            (scenario_index, policy_index)
-            for scenario_index, row in enumerate(grid)
-            for policy_index, value in enumerate(row)
-            if value is None
-        ]
-        if missing:
-            raise StoreError(
-                f"stored job {job_id!r} is missing cells {missing}; the "
-                "journal does not cover its grid"
+        cells = self.done_cells(job_id).items()
+        try:
+            result = FleetResult.from_cells(
+                record.result_meta,
+                ((row, column, cell) for (row, column), cell in cells),
             )
+        except ValueError as error:
+            raise StoreError(
+                f"stored job {job_id!r} does not assemble: {error}"
+            ) from error
         self.results_reloaded.inc()
-        return FleetResult(
-            scenario_labels=labels,
-            grid=grid,  # type: ignore[arg-type]
-            scan=None,
-            trace_hours=int(meta["trace_hours"]),
-            policy_names=names,
-            alphas=[float(alpha) for alpha in meta["alphas"]],
-        )
+        return result
 
     def is_cancelled(self, job_id: str) -> bool:
         """Whether a ``cancel`` record exists for this job (cheap poll)."""
@@ -946,7 +823,7 @@ class CampaignStore:
                 details["cells"] = [
                     [scenario_index, policy_index]
                     for scenario_index, policy_index
-                    in self._shard_cell_ids(payload, seq)
+                    in self._decode_shard(seq, payload, ids_only=True)
                 ]
             elif kind in ("submit", "finish"):
                 pass  # request/meta payloads are status-endpoint material
@@ -1133,6 +1010,4 @@ __all__ = [
     "RECORD_KINDS",
     "RESUMABLE_STATUSES",
     "StoreError",
-    "decode_cells",
-    "encode_cells",
 ]

@@ -24,6 +24,13 @@ in three vectorized stages:
 The scalar loop remains in :mod:`repro.simulation.simulator` as the
 cross-checked reference; the equivalence suite asserts agreement to 1e-9 on
 budgets, consumed energy, battery trajectories and recognition counts.
+
+The module also holds the one codec of a campaign's columns: the cell
+record (:func:`encode_cell`, :func:`decode_cells`), a JSON header plus the
+cell's float64/zlib column and battery frames.  The service's columns
+stream (:meth:`FleetResult.to_binary_frames`, :meth:`FleetResult.from_binary`),
+a durable campaign worker's shard payload and the store journal's
+``shard_done`` records are all made of it.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,17 +50,15 @@ from repro.harvesting.solar_cell import HarvestScenario
 from repro.harvesting.traces import SolarTrace
 from repro.planning.scan import PlanScan
 from repro.simulation.device import DeviceConfig, DeviceSimulator
-from repro.simulation.metrics import (
-    BINARY_FLOAT_DTYPES,
-    CampaignColumns,
-    CampaignResult,
-    deflate_f8,
-)
+from repro.simulation.metrics import CampaignColumns, CampaignResult
 from repro.simulation.policies import PlanningPolicy, Policy
 
 #: Leading magic of the binary campaign wire format (see
 #: :meth:`FleetResult.to_binary_frames`).
 CAMPAIGN_BINARY_MAGIC = b"REAPCOL1"
+
+#: One simulated cell in grid coordinates: (scenario, policy, result).
+Cell = Tuple[int, int, CampaignResult]
 
 
 def _binary_frame(blob: bytes) -> bytes:
@@ -77,7 +82,6 @@ def _read_binary_frame(blob: bytes, offset: int, what: str) -> tuple:
 
 #: Fields each binary header must carry, with their JSON types.
 _META_FIELDS = {
-    "num_cells": int,
     "scenario_labels": list,
     "policy_names": list,
     "alphas": list,
@@ -91,22 +95,162 @@ _CELL_FIELDS = {
 }
 
 
-def _json_header(blob: bytes, what: str, fields: Dict[str, Any]) -> Dict[str, Any]:
-    """Decode one JSON header frame and check its ``fields``' types.
+def _check_fields(
+    header: Any, what: str, fields: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Check that a decoded header is an object whose ``fields`` have their types.
 
-    The stream comes off the network, so a corrupt header must fail as a
-    :class:`ValueError`, never as a ``KeyError`` or ``TypeError``.
+    Headers come off the network and out of the journal, so a corrupt one
+    must fail as a :class:`ValueError`, never as a ``KeyError`` or
+    ``TypeError``.
     """
-    try:
-        header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ValueError(f"malformed binary {what}: {error}") from error
     if not isinstance(header, dict):
         raise ValueError(f"malformed binary {what}: not a JSON object")
     for key, kind in fields.items():
         if not isinstance(header.get(key), kind):
             raise ValueError(f"malformed binary {what}: bad or missing {key!r}")
     return header
+
+
+def _json_header(blob: bytes, what: str, fields: Dict[str, Any]) -> Dict[str, Any]:
+    """Decode one JSON header frame and check its ``fields``' types."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ValueError(f"malformed binary {what}: {error}") from error
+    return _check_fields(header, what, fields)
+
+
+# --- the cell record: the one encoding of a campaign's columns ------------------
+def encode_cell(scenario_index: int, policy_index: int, result: CampaignResult) -> bytes:
+    """One cell record: the campaign codec's unit.
+
+    A length-prefixed JSON header (grid position, policy, alpha, and the
+    battery trajectory's presence and length), then the cell's
+    :meth:`~repro.simulation.metrics.CampaignResult.wire_frames`, each
+    length-prefixed: the ``<f8``/zlib
+    :meth:`~repro.simulation.metrics.CampaignColumns.to_bytes` frame and,
+    for closed-loop cells, the deflated ``<f8`` battery frame.  The
+    columns stream (:meth:`FleetResult.to_binary_frames`), a durable
+    campaign worker's shard payload and the journal's ``shard_done``
+    records are all made of these records (:func:`encode_cells`).  A cell
+    that already holds its frames is re-framed without deflating again.
+    """
+    columns_frame, battery_frame = result.wire_frames()
+    battery = result.battery_charge_j
+    header = {
+        "scenario_index": int(scenario_index),
+        "policy_index": int(policy_index),
+        "policy_name": result.policy_name,
+        "alpha": float(result.alpha),
+        "has_battery": battery is not None,
+        "battery_len": 0 if battery is None else int(battery.size),
+    }
+    frames = [json.dumps(header, separators=(",", ":")).encode("utf-8"), columns_frame]
+    if battery_frame is not None:
+        frames.append(battery_frame)
+    return b"".join(_binary_frame(frame) for frame in frames)
+
+
+def _read_cell(
+    blob: bytes, offset: int, index: int
+) -> Tuple[Dict[str, Any], bytes, Optional[bytes], int]:
+    """Walk one cell record: (header, columns frame, battery frame, next offset).
+
+    Checks the framing and the header's field types and inflates nothing;
+    the battery frame is ``None`` for open-loop cells.
+    """
+    what = f"cell {index} header"
+    head_blob, offset = _read_binary_frame(blob, offset, what)
+    head = _json_header(head_blob, what, _CELL_FIELDS)
+    columns_frame, offset = _read_binary_frame(
+        blob, offset, f"cell {index} columns"
+    )
+    battery_frame = None
+    if head.get("has_battery"):
+        battery_frame, offset = _read_binary_frame(
+            blob, offset, f"cell {index} battery"
+        )
+    return head, columns_frame, battery_frame, offset
+
+
+def _decode_cell(
+    blob: bytes, offset: int, index: int, journal: bool
+) -> Tuple[Cell, int]:
+    """Decode one :func:`encode_cell` record at ``offset``; returns (cell, next offset).
+
+    The cell keeps the frames it was decoded from.  Journal records
+    written before headers carried ``battery_len`` lack it; their cells
+    all come from :meth:`FleetCampaign.run`, whose trajectories hold the
+    initial charge plus one entry per period, so with ``journal`` a
+    missing length means ``num_periods + 1``.
+    """
+    head, columns_frame, battery_frame, offset = _read_cell(blob, offset, index)
+    columns = CampaignColumns.from_bytes(columns_frame)
+    battery = None
+    if battery_frame is not None:
+        try:
+            battery_bytes = zlib.decompress(battery_frame)
+        except zlib.error as error:
+            raise ValueError(
+                f"binary cell {index} battery frame truncated or corrupt: {error}"
+            ) from error
+        battery_len = head.get(
+            "battery_len", columns.num_periods + 1 if journal else 0
+        )
+        if not isinstance(battery_len, int):
+            raise ValueError(
+                f"malformed binary cell {index} header: bad 'battery_len'"
+            )
+        if len(battery_bytes) != battery_len * 8:
+            raise ValueError(
+                f"binary cell {index} battery frame has "
+                f"{len(battery_bytes)} bytes, expected {battery_len * 8}"
+            )
+        battery = np.frombuffer(battery_bytes, dtype="<f8").astype(float)
+    result = CampaignResult.from_columns(
+        head["policy_name"],
+        float(head["alpha"]),
+        columns,
+        battery_charge_j=battery,
+        wire_frames=(columns_frame, battery_frame),
+    )
+    return (head["scenario_index"], head["policy_index"], result), offset
+
+
+def encode_cells(cells: Iterable[Cell]) -> bytes:
+    """Concatenated :func:`encode_cell` records (shard payloads, journal records)."""
+    return b"".join(encode_cell(*cell) for cell in cells)
+
+
+def decode_cells(blob: bytes, journal: bool = False) -> List[Cell]:
+    """Decode every record of an :func:`encode_cells` payload.
+
+    Raises :class:`ValueError`, and only that, on anything malformed.
+    The decoded cells equal the encoded ones to the last bit and keep
+    their frames, so encoding them again deflates nothing.  ``journal``
+    reads records journaled before headers carried ``battery_len``.
+    """
+    cells: List[Cell] = []
+    offset = 0
+    while offset < len(blob):
+        cell, offset = _decode_cell(blob, offset, len(cells), journal)
+        cells.append(cell)
+    return cells
+
+
+def cell_ids(blob: bytes) -> List[Tuple[int, int]]:
+    """The (scenario, policy) ids of an :func:`encode_cells` payload.
+
+    Reads the cell headers only, so it costs no inflating; raises
+    :class:`ValueError` on malformed framing or headers.
+    """
+    ids: List[Tuple[int, int]] = []
+    offset = 0
+    while offset < len(blob):
+        head, _, _, offset = _read_cell(blob, offset, len(ids))
+        ids.append((head["scenario_index"], head["policy_index"]))
+    return ids
 
 
 @dataclass
@@ -275,11 +419,11 @@ class FleetResult:
     def cell_payloads(self) -> Iterator[Dict[str, Any]]:
         """One JSON-ready payload per (scenario, policy) cell, in grid order.
 
-        This is what the service streams back for
-        ``GET /campaign/<id>/columns``: each payload carries the cell's
+        Each payload carries the cell's
         :class:`~repro.simulation.metrics.CampaignColumns` (list-based
-        results are packed into columns first) plus its battery
-        trajectory, losslessly.
+        results are packed into columns first) plus its battery trajectory;
+        ``repro.service.client campaign columns`` prints them, one line per
+        cell after the :meth:`meta_payload` line.
         """
         for scenario_index, policy_index, result in self:
             columns = result.columns
@@ -297,87 +441,24 @@ class FleetResult:
                 ),
             }
 
-    def to_binary_frames(
-        self, dtype: str = "<f8", compress: bool = True
-    ) -> Iterator[bytes]:
+    def to_binary_frames(self) -> Iterator[bytes]:
         """Stream the campaign as the binary columnar wire format.
 
-        Yields, in order: the :data:`CAMPAIGN_BINARY_MAGIC` bytes, one
-        length-prefixed JSON meta frame (grid shape plus ``dtype``,
-        ``codec`` and ``num_cells``), then per grid cell a length-prefixed
-        JSON cell header, a length-prefixed
-        :meth:`CampaignColumns.to_bytes` frame and -- when the cell
-        carries a battery trajectory -- one ``<f8`` frame (zlib-deflated
-        when ``compress``, which is the default).  At float64 the stream
-        decodes to a grid byte-exactly equal to the NDJSON codec's;
-        ``"<f4"`` halves the float payload for lossy transport.
-
-        The default f8/zlib stream is made of each cell's
-        :meth:`CampaignResult.wire_frames`, deflated at most once per cell:
-        a durable campaign's cells hold the frames their worker encoded and
-        the journal stores.  The raw codec (``compress=False``)
-        is zero-copy: column frames are yielded as memoryview slices of the
-        cells' existing buffers, so consumers must either write each chunk
-        out immediately or copy it.
+        Yields the :data:`CAMPAIGN_BINARY_MAGIC` bytes, one length-prefixed
+        JSON meta frame (:meth:`meta_payload` plus ``dtype``, ``codec`` and
+        ``num_cells``), then one :func:`encode_cell` record per grid cell.
+        Each cell is deflated at most once: a durable campaign's cells hold
+        the frames their worker encoded and the journal stores, and any
+        other cell keeps the frames it encodes here.
         """
-
-        def chunk_nbytes(chunk) -> int:
-            # memoryview __len__ counts elements, not bytes; the column
-            # chunks are cast to "B" already but don't rely on it.
-            return chunk.nbytes if isinstance(chunk, memoryview) else len(chunk)
-
-        if dtype not in BINARY_FLOAT_DTYPES:
-            raise ValueError(
-                f"unsupported binary dtype {dtype!r}; "
-                f"expected one of {BINARY_FLOAT_DTYPES}"
-            )
         yield CAMPAIGN_BINARY_MAGIC
         meta = dict(self.meta_payload())
-        meta["dtype"] = dtype
-        meta["codec"] = "zlib" if compress else "raw"
+        meta["dtype"] = "<f8"
+        meta["codec"] = "zlib"
         meta["num_cells"] = self.num_cells
         yield _binary_frame(json.dumps(meta, separators=(",", ":")).encode("utf-8"))
-        splice = dtype == "<f8" and compress
-        for scenario_index, policy_index, result in self:
-            battery = result.battery_charge_j
-            header = {
-                "scenario_index": scenario_index,
-                "policy_index": policy_index,
-                "policy_name": result.policy_name,
-                "alpha": float(result.alpha),
-                "has_battery": battery is not None,
-                "battery_len": 0 if battery is None else int(battery.size),
-            }
-            yield _binary_frame(
-                json.dumps(header, separators=(",", ":")).encode("utf-8")
-            )
-            if splice:
-                for frame in result.wire_frames():
-                    if frame is not None:
-                        yield struct.pack("<Q", len(frame))
-                        yield frame
-                continue
-            columns = result.columns
-            if columns is None:
-                columns = CampaignColumns.from_outcomes(result.outcomes)
-            column_chunks = list(columns.to_bytes_chunks(dtype, compress=compress))
-            yield struct.pack(
-                "<Q", sum(chunk_nbytes(chunk) for chunk in column_chunks)
-            )
-            yield from column_chunks
-            if battery is not None:
-                if compress:
-                    yield _binary_frame(deflate_f8(battery))
-                elif (
-                    battery.dtype == np.dtype("<f8")
-                    and battery.flags.c_contiguous
-                ):
-                    yield struct.pack("<Q", battery.nbytes)
-                    yield memoryview(battery).cast("B")
-                else:
-                    yield _binary_frame(
-                        np.ascontiguousarray(battery, dtype="<f8").tobytes()
-                    )
+        for cell in self:
+            yield encode_cell(*cell)
 
     @classmethod
     def from_binary(cls, blob: bytes) -> "FleetResult":
@@ -396,13 +477,37 @@ class FleetResult:
             )
         offset = len(CAMPAIGN_BINARY_MAGIC)
         meta_blob, offset = _read_binary_frame(blob, offset, "meta frame")
-        meta = _json_header(meta_blob, "meta frame", _META_FIELDS)
+        meta = _json_header(meta_blob, "meta frame", {"num_cells": int})
         num_cells = meta["num_cells"]
         if num_cells < 0:
             raise ValueError("malformed binary meta frame: bad num_cells")
-        codec = meta.get("codec", "raw")
-        if codec not in ("raw", "zlib"):
-            raise ValueError(f"unsupported binary codec {codec!r} in meta frame")
+        if meta.get("codec") != "zlib":
+            raise ValueError(
+                f"unsupported binary codec {meta.get('codec')!r} in meta frame"
+            )
+        cells: List[Cell] = []
+        for index in range(num_cells):
+            cell, offset = _decode_cell(blob, offset, index, journal=False)
+            cells.append(cell)
+        if offset != len(blob):
+            raise ValueError(
+                f"binary campaign stream has {len(blob) - offset} trailing bytes"
+            )
+        return cls.from_cells(meta, cells)
+
+    @classmethod
+    def from_cells(
+        cls, meta: Dict[str, Any], cells: Iterable[Cell]
+    ) -> "FleetResult":
+        """Assemble a grid from a :meth:`meta_payload` and its decoded cells.
+
+        Later cells win on repeated (scenario, policy) ids.  Raises
+        :class:`ValueError` on a meta that lacks a field of the right
+        type, a cell outside the grid, or a cell left unfilled -- a
+        partial grid must not masquerade as a full one.  :attr:`scan` is
+        ``None``: battery trajectories live on the cell results.
+        """
+        _check_fields(meta, "meta frame", _META_FIELDS)
         labels = list(meta["scenario_labels"])
         names = list(meta["policy_names"])
         alphas = meta["alphas"]
@@ -413,53 +518,16 @@ class FleetResult:
         grid: List[List[Optional[CampaignResult]]] = [
             [None] * len(names) for _ in labels
         ]
-        for index in range(num_cells):
-            what = f"cell {index} header"
-            head_blob, offset = _read_binary_frame(blob, offset, what)
-            head = _json_header(head_blob, what, _CELL_FIELDS)
-            scenario_index = head["scenario_index"]
-            policy_index = head["policy_index"]
+        for scenario_index, policy_index, result in cells:
             if not (
                 0 <= scenario_index < len(labels)
                 and 0 <= policy_index < len(names)
             ):
-                raise ValueError(f"binary {what} names a cell outside the grid")
-            columns_blob, offset = _read_binary_frame(
-                blob, offset, f"cell {index} columns"
-            )
-            columns = CampaignColumns.from_bytes(columns_blob)
-            battery = None
-            if head.get("has_battery"):
-                battery_blob, offset = _read_binary_frame(
-                    blob, offset, f"cell {index} battery"
+                raise ValueError(
+                    f"cell ({scenario_index}, {policy_index}) lies outside "
+                    f"the {len(labels)} x {len(names)} campaign grid"
                 )
-                if codec == "zlib":
-                    try:
-                        battery_blob = zlib.decompress(battery_blob)
-                    except zlib.error as error:
-                        raise ValueError(
-                            f"binary cell {index} battery frame truncated "
-                            f"or corrupt: {error}"
-                        ) from error
-                battery_len = head.get("battery_len", 0)
-                if not isinstance(battery_len, int):
-                    raise ValueError(f"malformed binary {what}: bad 'battery_len'")
-                if len(battery_blob) != battery_len * 8:
-                    raise ValueError(
-                        f"binary cell {index} battery frame has "
-                        f"{len(battery_blob)} bytes, expected {battery_len * 8}"
-                    )
-                battery = np.frombuffer(battery_blob, dtype="<f8").astype(float)
-            grid[scenario_index][policy_index] = CampaignResult.from_columns(
-                head["policy_name"],
-                float(head["alpha"]),
-                columns,
-                battery_charge_j=battery,
-            )
-        if offset != len(blob):
-            raise ValueError(
-                f"binary campaign stream has {len(blob) - offset} trailing bytes"
-            )
+            grid[scenario_index][policy_index] = result
         missing = [
             (scenario_index, policy_index)
             for scenario_index, row in enumerate(grid)
@@ -467,7 +535,7 @@ class FleetResult:
             if value is None
         ]
         if missing:
-            raise ValueError(f"binary campaign stream left cells unfilled: {missing}")
+            raise ValueError(f"campaign cells left unfilled: {missing}")
         return cls(
             scenario_labels=labels,
             grid=grid,
@@ -475,51 +543,6 @@ class FleetResult:
             trace_hours=meta["trace_hours"],
             policy_names=names,
             alphas=[float(alpha) for alpha in alphas],
-        )
-
-    @classmethod
-    def from_payloads(
-        cls, meta: Dict[str, Any], cells: Iterable[Dict[str, Any]]
-    ) -> "FleetResult":
-        """Rebuild a result from :meth:`meta_payload` + :meth:`cell_payloads`.
-
-        The reconstructed grid matches the original to floating-point
-        round-off (the codec is lossless); :attr:`scan` is ``None`` --
-        battery trajectories live on the cell results.
-        """
-        labels = list(meta["scenario_labels"])
-        names = list(meta["policy_names"])
-        grid: List[List[Optional[CampaignResult]]] = [
-            [None] * len(names) for _ in labels
-        ]
-        for payload in cells:
-            battery = payload.get("battery_charge_j")
-            cell = CampaignResult.from_columns(
-                str(payload["policy_name"]),
-                float(payload["alpha"]),
-                CampaignColumns.from_json_dict(payload["columns"]),
-                battery_charge_j=(
-                    None if battery is None else np.asarray(battery, dtype=float)
-                ),
-            )
-            grid[int(payload["scenario_index"])][
-                int(payload["policy_index"])
-            ] = cell
-        missing = [
-            (scenario_index, policy_index)
-            for scenario_index, row in enumerate(grid)
-            for policy_index, value in enumerate(row)
-            if value is None
-        ]
-        if missing:  # a partial stream must not masquerade as a full grid
-            raise ValueError(f"campaign stream left cells unfilled: {missing}")
-        return cls(
-            scenario_labels=labels,
-            grid=grid,
-            scan=None,
-            trace_hours=int(meta["trace_hours"]),
-            policy_names=names,
-            alphas=[float(alpha) for alpha in meta["alphas"]],
         )
 
 
@@ -753,7 +776,12 @@ class FleetCampaign:
 __all__ = [
     "CAMPAIGN_BINARY_MAGIC",
     "CampaignConfig",
+    "Cell",
     "FleetCampaign",
     "FleetResult",
+    "cell_ids",
+    "decode_cells",
+    "encode_cell",
+    "encode_cells",
     "policy_supports_fleet",
 ]

@@ -23,9 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Little-endian dtypes accepted by the binary column codec.
-BINARY_FLOAT_DTYPES = ("<f8", "<f4")
-
 #: zlib level of every deflated frame: column payloads, battery
 #: trajectories, journal and wire alike.  Level 1 deflates a month-long
 #: study ~3x faster than level 6 for ~5% more bytes; inflating does not
@@ -33,7 +30,7 @@ BINARY_FLOAT_DTYPES = ("<f8", "<f4")
 ZLIB_LEVEL = 1
 
 #: Column layout of the binary frame: (field name, kind) where kind is
-#: ``"int"`` (always ``<i8``) or ``"float"`` (the frame's float dtype).
+#: ``"int"`` (``<i8``) or ``"float"`` (``<f8``).
 _BINARY_COLUMN_LAYOUT = (
     ("period_index", "int"),
     ("energy_budget_j", "float"),
@@ -149,13 +146,12 @@ class CampaignColumns:
             )
         return outcomes
 
-    # --- JSON codec -------------------------------------------------------------
+    # --- codecs ---------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
-        """Encode as a JSON-ready dictionary (the campaign wire format).
+        """The columns as JSON lists: what ``campaign columns`` prints.
 
         Python's ``json`` serialises floats with shortest round-trip repr,
-        so the arrays survive the wire bit-exactly -- the remote-campaign
-        parity guarantee (1e-9 against the local run) rests on this.
+        so the printed values are the float64 columns exactly.
         """
         payload: Dict[str, object] = {
             "period_index": [int(v) for v in self.period_index],
@@ -176,105 +172,49 @@ class CampaignColumns:
             ]
         return payload
 
-    @classmethod
-    def from_json_dict(cls, payload: Dict[str, object]) -> "CampaignColumns":
-        """Decode the wire format produced by :meth:`to_json_dict`."""
-        times = payload.get("times_by_design_point_s")
-        return cls(
-            period_index=np.asarray(payload["period_index"], dtype=int),
-            energy_budget_j=np.asarray(payload["energy_budget_j"], dtype=float),
-            energy_consumed_j=np.asarray(
-                payload["energy_consumed_j"], dtype=float
-            ),
-            active_time_s=np.asarray(payload["active_time_s"], dtype=float),
-            off_time_s=np.asarray(payload["off_time_s"], dtype=float),
-            windows_total=np.asarray(payload["windows_total"], dtype=int),
-            windows_observed=np.asarray(payload["windows_observed"], dtype=int),
-            windows_correct=np.asarray(payload["windows_correct"], dtype=float),
-            objective_value=np.asarray(payload["objective_value"], dtype=float),
-            expected_accuracy=np.asarray(
-                payload["expected_accuracy"], dtype=float
-            ),
-            design_point_names=tuple(payload.get("design_point_names", ())),
-            times_by_design_point_s=(
-                None if times is None
-                else np.asarray(times, dtype=float).reshape(
-                    len(payload["period_index"]), -1
-                )
-            ),
-        )
+    def to_bytes(self) -> bytes:
+        """Encode as one self-describing binary frame.
 
-    # --- binary codec -----------------------------------------------------------
-    def _column_buffers(self, dtype: str):
-        """Yield each column's wire buffer in frame order.
-
-        Columns already stored contiguously at the wire dtype are yielded
-        as memoryviews over their existing storage; anything else is cast
-        and copied once.
+        Layout: a little-endian ``uint64`` header length, a UTF-8 JSON
+        header (dtype, codec, period count, design point names), then the
+        column buffers back to back in :data:`_BINARY_COLUMN_LAYOUT` order
+        -- integers as ``<i8``, floats as ``<f8`` -- followed by the
+        optional per-DP time matrix, all zlib-deflated as one payload.
+        The frame is lossless, and zlib at a fixed level is
+        deterministic, so it round-trips byte-exactly through
+        :meth:`from_bytes`.
         """
-        def wire_buffer(array: np.ndarray, wire_dtype: str):
-            array = np.asarray(array)
-            if array.dtype == np.dtype(wire_dtype) and array.flags.c_contiguous:
-                return memoryview(array).cast("B")
-            return np.ascontiguousarray(array, dtype=wire_dtype).tobytes()
-
-        for name, kind in _BINARY_COLUMN_LAYOUT:
-            yield wire_buffer(getattr(self, name), "<i8" if kind == "int" else dtype)
-        times = self.times_by_design_point_s
-        if times is not None:
-            yield wire_buffer(times, dtype)
-
-    def to_bytes_chunks(self, dtype: str = "<f8", compress: bool = True):
-        """Yield buffers that concatenate to the :meth:`to_bytes` frame.
-
-        The raw codec streams the header followed by per-column
-        memoryviews with no intermediate copy; the zlib codec necessarily
-        materialises one compressed payload.  Callers that hold the chunks
-        (rather than joining them) must keep the columns alive.
-        """
-        if dtype not in BINARY_FLOAT_DTYPES:
-            raise ValueError(
-                f"unsupported binary dtype {dtype!r}; "
-                f"expected one of {BINARY_FLOAT_DTYPES}"
-            )
         header: Dict[str, object] = {
             "version": 1,
-            "dtype": dtype,
-            "codec": "zlib" if compress else "raw",
+            "dtype": "<f8",
+            "codec": "zlib",
             "num_periods": len(self),
         }
         if self.times_by_design_point_s is not None:
             header["design_point_names"] = list(self.design_point_names)
         header_blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        yield struct.pack("<Q", len(header_blob))
-        yield header_blob
-        if compress:
-            yield zlib.compress(b"".join(self._column_buffers(dtype)), ZLIB_LEVEL)
-        else:
-            yield from self._column_buffers(dtype)
-
-    def to_bytes(self, dtype: str = "<f8", compress: bool = True) -> bytes:
-        """Encode as one self-describing binary frame.
-
-        Layout: a little-endian ``uint64`` header length, a UTF-8 JSON
-        header (dtype, codec, period count, design point names), then the
-        raw column buffers back to back in :data:`_BINARY_COLUMN_LAYOUT`
-        order -- integers as ``<i8``, floats as ``dtype`` -- followed by
-        the optional per-DP time matrix.  With ``compress`` (the default)
-        the concatenated column buffers travel zlib-deflated, declared as
-        ``"codec": "zlib"`` in the header; zlib is deterministic, so the
-        frame still round-trips byte-exactly through :meth:`from_bytes`.
-        ``"<f8"`` is lossless; ``"<f4"`` halves the float payload at
-        ~1e-7 relative precision.
-        """
-        return b"".join(self.to_bytes_chunks(dtype, compress))
+        columns = [
+            np.ascontiguousarray(
+                getattr(self, name), dtype="<i8" if kind == "int" else "<f8"
+            )
+            for name, kind in _BINARY_COLUMN_LAYOUT
+        ]
+        if self.times_by_design_point_s is not None:
+            columns.append(
+                np.ascontiguousarray(self.times_by_design_point_s, dtype="<f8")
+            )
+        return b"".join((
+            struct.pack("<Q", len(header_blob)),
+            header_blob,
+            zlib.compress(b"".join(columns), ZLIB_LEVEL),
+        ))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CampaignColumns":
         """Decode a frame produced by :meth:`to_bytes`.
 
-        Raises :class:`ValueError` on truncated or malformed frames.  All
-        float columns come back as float64 regardless of the wire dtype.
+        Raises :class:`ValueError` on truncated or malformed frames, and
+        on any dtype or codec but ``<f8`` and ``zlib``.
         """
         if len(blob) < 8:
             raise ValueError("binary columns frame truncated: missing header length")
@@ -291,10 +231,10 @@ class CampaignColumns:
         if version != 1:
             raise ValueError(f"unsupported binary columns version {version!r}")
         dtype = header.get("dtype")
-        if dtype not in BINARY_FLOAT_DTYPES:
+        if dtype != "<f8":
             raise ValueError(f"unsupported binary dtype {dtype!r} in header")
-        codec = header.get("codec", "raw")
-        if codec not in ("raw", "zlib"):
+        codec = header.get("codec")
+        if codec != "zlib":
             raise ValueError(f"unsupported binary codec {codec!r} in header")
         num_periods = header.get("num_periods")
         if not isinstance(num_periods, int) or num_periods < 0:
@@ -304,19 +244,17 @@ class CampaignColumns:
             raise ValueError(
                 "malformed binary columns header: bad design_point_names"
             )
-        payload = blob[8 + header_len:]
-        if codec == "zlib":
-            try:
-                payload = zlib.decompress(payload)
-            except zlib.error as error:
-                raise ValueError(
-                    f"binary columns frame truncated or corrupt: {error}"
-                ) from error
+        try:
+            payload = zlib.decompress(blob[8 + header_len:])
+        except zlib.error as error:
+            raise ValueError(
+                f"binary columns frame truncated or corrupt: {error}"
+            ) from error
         offset = 0
 
         def take(wire_dtype: str, count: int) -> np.ndarray:
             nonlocal offset
-            nbytes = np.dtype(wire_dtype).itemsize * count
+            nbytes = 8 * count
             if len(payload) < offset + nbytes:
                 raise ValueError(
                     "binary columns frame truncated: "
@@ -333,10 +271,10 @@ class CampaignColumns:
             if kind == "int":
                 fields[name] = take("<i8", num_periods).astype(int)
             else:
-                fields[name] = take(dtype, num_periods).astype(float)
+                fields[name] = take("<f8", num_periods).astype(float)
         times: Optional[np.ndarray] = None
         if names:
-            flat = take(dtype, num_periods * len(names)).astype(float)
+            flat = take("<f8", num_periods * len(names)).astype(float)
             times = flat.reshape(num_periods, len(names))
         if offset != len(payload):
             raise ValueError(
@@ -438,13 +376,12 @@ class CampaignResult:
     def wire_frames(self) -> WireFrames:
         """The cell's float64/zlib frames: (columns frame, battery frame).
 
-        The columns frame is :meth:`CampaignColumns.to_bytes` at ``"<f8"``
-        with compression; the battery frame is the :func:`deflate_f8`
-        trajectory, or ``None`` for open-loop cells.  They are encoded on
-        first use and then held, so a cell is deflated once: the campaign
-        journal (:func:`repro.service.store.encode_cells`) and the f8/zlib
-        stream of :meth:`~repro.simulation.fleet.FleetResult.to_binary_frames`
-        reuse the same bytes.
+        The columns frame is :meth:`CampaignColumns.to_bytes`; the battery
+        frame is the :func:`deflate_f8` trajectory, or ``None`` for
+        open-loop cells.  They are encoded on first use and then held, so
+        a cell is deflated once: its cell record
+        (:func:`repro.simulation.fleet.encode_cell`) in a worker's shard
+        payload, the journal and the columns stream reuse the same bytes.
         """
         if self._wire_frames is None:
             columns = self.columns
@@ -452,7 +389,7 @@ class CampaignResult:
                 columns = CampaignColumns.from_outcomes(self.outcomes)
             battery = self.battery_charge_j
             self._wire_frames = (
-                columns.to_bytes("<f8", compress=True),
+                columns.to_bytes(),
                 None if battery is None else deflate_f8(battery),
             )
         return self._wire_frames
@@ -611,7 +548,6 @@ def compare_campaigns(
 
 
 __all__ = [
-    "BINARY_FLOAT_DTYPES",
     "CampaignColumns",
     "CampaignResult",
     "PeriodOutcome",

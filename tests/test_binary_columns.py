@@ -1,15 +1,14 @@
-"""Binary columnar wire-format tests (satellite of the kernels PR).
+"""Binary columnar wire-format tests: the one campaign codec.
 
-Covers the :meth:`CampaignColumns.to_bytes`/:meth:`from_bytes` codec
-(byte-exact round-trips at both dtypes and codecs, rich ``ValueError``
-diagnostics on malformed or truncated blobs), the length-prefixed
-:meth:`FleetResult.to_binary_frames` stream, and the HTTP negotiation:
-``GET /campaign/<id>/columns?format=binary`` must reproduce the local
-fleet run to 1e-9 under both the zlib and the raw codec, unknown
-``format``/``dtype`` values must map to the
-service's 400 JSON error contract, and the NDJSON default must be
-untouched.  The HTTP tests run twice: on an in-memory service, and on a
-store-backed one whose f8/zlib stream splices the journaled frames.
+Covers the :meth:`CampaignColumns.to_bytes`/:meth:`from_bytes` frame
+(byte-exact round-trips, rich ``ValueError`` diagnostics on malformed,
+truncated or retired-encoding blobs), the length-prefixed
+:meth:`FleetResult.to_binary_frames` stream and its cell records, and the
+HTTP surface: ``GET /campaign/<id>/columns`` must reproduce the local
+fleet run to the last bit, and any ``format``/``dtype``/``codec`` value
+but the one encoding's must map to the service's 400 JSON error
+contract.  The HTTP tests run twice: on an in-memory service, and on a
+store-backed one whose stream splices the journaled frames.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import http.client
 import json
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ from repro.simulation.fleet import (
     FleetCampaign,
     FleetResult,
 )
-from repro.simulation.metrics import BINARY_FLOAT_DTYPES, CampaignColumns
+from repro.simulation.metrics import CampaignColumns, CampaignResult
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +64,8 @@ def columns(local_result):
 # ---------------------------------------------------------------------------
 
 class TestColumnsCodec:
-    @pytest.mark.parametrize("compress", [True, False])
-    def test_f8_round_trip_is_exact(self, columns, compress):
-        blob = columns.to_bytes(dtype="<f8", compress=compress)
-        decoded = CampaignColumns.from_bytes(blob)
+    def test_f8_round_trip_is_exact(self, columns):
+        decoded = CampaignColumns.from_bytes(columns.to_bytes())
         np.testing.assert_array_equal(decoded.period_index, columns.period_index)
         np.testing.assert_array_equal(
             decoded.windows_total, columns.windows_total
@@ -83,45 +81,33 @@ class TestColumnsCodec:
         )
         assert decoded.design_point_names == columns.design_point_names
 
-    @pytest.mark.parametrize("compress", [True, False])
-    def test_f4_round_trip_is_close(self, columns, compress):
-        decoded = CampaignColumns.from_bytes(
-            columns.to_bytes(dtype="<f4", compress=compress)
-        )
-        # Int columns never quantise; floats carry float32 precision.
-        np.testing.assert_array_equal(decoded.period_index, columns.period_index)
-        np.testing.assert_allclose(
-            decoded.objective_value, columns.objective_value,
-            rtol=1e-6, atol=1e-6,
-        )
-        np.testing.assert_allclose(
-            decoded.energy_budget_j, columns.energy_budget_j,
-            rtol=1e-6, atol=1e-5,
-        )
-        assert decoded.energy_budget_j.dtype == np.float64  # floats widen back
-
     def test_encoding_is_deterministic_and_reencodable(self, columns):
         # Byte-exactness: the same columns always serialise to the same
         # bytes (zlib at a fixed level is deterministic), and a decode/encode cycle
         # reproduces the original blob bit for bit.
-        for dtype in BINARY_FLOAT_DTYPES:
-            first = columns.to_bytes(dtype=dtype)
-            second = columns.to_bytes(dtype=dtype)
-            assert first == second
-            decoded = CampaignColumns.from_bytes(first)
-            assert decoded.to_bytes(dtype=dtype) == first
+        first = columns.to_bytes()
+        assert columns.to_bytes() == first
+        assert CampaignColumns.from_bytes(first).to_bytes() == first
 
     def test_compression_shrinks_the_payload(self, columns):
-        raw = columns.to_bytes(dtype="<f8", compress=False)
-        packed = columns.to_bytes(dtype="<f8", compress=True)
-        assert len(packed) < len(raw)
+        raw_nbytes = 8 * (10 * len(columns) + columns.times_by_design_point_s.size)
+        assert len(columns.to_bytes()) < raw_nbytes
 
     def test_unknown_dtype_is_rejected(self, columns):
-        with pytest.raises(ValueError, match="dtype"):
-            columns.to_bytes(dtype="<f2")
+        # float32 and uncompressed frames are retired: a frame declaring
+        # either no longer decodes.
+        good = columns.to_bytes()
+        header_len = struct.unpack_from("<Q", good, 0)[0]
+        header = json.loads(good[8:8 + header_len].decode("utf-8"))
+        for field, retired in (("dtype", "<f4"), ("codec", "raw")):
+            blob = json.dumps(dict(header, **{field: retired})).encode("utf-8")
+            with pytest.raises(ValueError, match=field):
+                CampaignColumns.from_bytes(
+                    struct.pack("<Q", len(blob)) + blob + good[8 + header_len:]
+                )
 
     def test_malformed_blobs_raise_value_errors(self, columns):
-        good = columns.to_bytes(dtype="<f8", compress=False)
+        good = columns.to_bytes()
         with pytest.raises(ValueError, match="header length"):
             CampaignColumns.from_bytes(b"\x01\x02")
         with pytest.raises(ValueError, match="header"):
@@ -135,11 +121,15 @@ class TestColumnsCodec:
             )
         with pytest.raises(ValueError, match="truncated"):
             CampaignColumns.from_bytes(good[:-16])
+        head = good[:8 + header_len]
+        payload = zlib.decompress(good[8 + header_len:])
+        with pytest.raises(ValueError, match="truncated"):
+            CampaignColumns.from_bytes(head + zlib.compress(payload[:-16]))
         with pytest.raises(ValueError, match="trailing"):
-            CampaignColumns.from_bytes(good + b"\x00")
+            CampaignColumns.from_bytes(head + zlib.compress(payload + b"\x00"))
 
     def test_tampered_header_fields_are_rejected(self, columns):
-        good = columns.to_bytes(dtype="<f8", compress=False)
+        good = columns.to_bytes()
         header_len = struct.unpack_from("<Q", good, 0)[0]
         header = json.loads(good[8:8 + header_len].decode("utf-8"))
         payload = good[8 + header_len:]
@@ -202,6 +192,31 @@ class TestFleetResultBinaryStream:
         with pytest.raises(ValueError, match="trailing"):
             FleetResult.from_binary(blob + b"\x00" * 12)
 
+    def test_battery_len_must_match_the_battery_frame(self, local_result):
+        blob = b"".join(local_result.to_binary_frames())
+        # The first cell header follows the magic and the meta frame.
+        offset = len(CAMPAIGN_BINARY_MAGIC)
+        offset += 8 + struct.unpack_from("<Q", blob, offset)[0]
+        size = struct.unpack_from("<Q", blob, offset)[0]
+        head = json.loads(blob[offset + 8:offset + 8 + size])
+        assert head["has_battery"]
+        assert head["battery_len"] == local_result.trace_hours + 1
+
+        def with_header(header):
+            frame = json.dumps(header).encode("utf-8")
+            return (
+                blob[:offset] + struct.pack("<Q", len(frame)) + frame
+                + blob[offset + 8 + size:]
+            )
+
+        assert FleetResult.from_binary(with_header(head)).num_cells == 4
+        wrong = [head["battery_len"] + delta for delta in (-1, 1)] + [0]
+        # Only journal records may lack the length; on the wire it is due.
+        untagged = {key: value for key, value in head.items() if key != "battery_len"}
+        for header in [dict(head, battery_len=n) for n in wrong] + [untagged]:
+            with pytest.raises(ValueError, match="battery frame has"):
+                FleetResult.from_binary(with_header(header))
+
     @pytest.fixture(scope="class")
     def two_cell_stream(self):
         """A real 2-cell stream and the offsets of its JSON header bytes."""
@@ -254,7 +269,7 @@ class TestFleetResultBinaryStream:
 
 
 # ---------------------------------------------------------------------------
-# HTTP negotiation
+# The columns endpoint over HTTP
 # ---------------------------------------------------------------------------
 
 class TestBinaryColumnsHttp:
@@ -285,13 +300,8 @@ class TestBinaryColumnsHttp:
         client.wait_for_campaign(submitted.campaign_id, timeout_s=120)
         return submitted
 
-    @pytest.mark.parametrize("codec", ["zlib", "raw"])
-    def test_binary_columns_match_local_run(
-        self, client, finished, local_result, codec
-    ):
-        remote = client.campaign_result(
-            finished.campaign_id, binary=True, codec=codec
-        )
+    def test_binary_columns_match_local_run(self, client, finished, local_result):
+        remote = client.campaign_result(finished.campaign_id)
         assert remote.policy_names == local_result.policy_names
         for scenario_index, policy_index, cell in remote:
             reference = local_result.result(policy_index, scenario_index)
@@ -303,38 +313,38 @@ class TestBinaryColumnsHttp:
                 cell.battery_charge_j, reference.battery_charge_j, atol=1e-9
             )
 
-    def test_binary_equals_ndjson_to_the_last_bit(self, client, finished):
-        # Both wire formats decode from the same float64 columns: the f8
-        # binary path must agree with NDJSON exactly, not just to 1e-9.
-        ndjson = client.campaign_result(finished.campaign_id)
-        binary = client.campaign_result(finished.campaign_id, binary=True)
-        for scenario_index, policy_index, cell in binary:
-            reference = ndjson.result(policy_index, scenario_index)
-            np.testing.assert_array_equal(
-                np.asarray(cell.columns.energy_budget_j),
-                np.asarray(reference.columns.energy_budget_j),
-            )
-
-    def test_f4_wire_is_close(self, client, finished):
-        remote = client.campaign_result(
-            finished.campaign_id, binary=True, dtype="f4"
-        )
-        reference = client.campaign_result(finished.campaign_id)
+    def test_binary_equals_ndjson_to_the_last_bit(
+        self, client, finished, local_result
+    ):
+        # The float64 frames are lossless: the decoded grid equals the
+        # local run exactly, so the JSON lines rendered from it -- what
+        # the retired NDJSON stream sent -- match the local run's byte
+        # for byte.
+        remote = client.campaign_result(finished.campaign_id)
         for scenario_index, policy_index, cell in remote:
-            local = reference.result(policy_index, scenario_index)
-            np.testing.assert_allclose(
-                cell.objective_values(), local.objective_values(),
-                rtol=1e-6, atol=1e-6,
+            reference = local_result.result(policy_index, scenario_index)
+            for name in ("energy_budget_j", "energy_consumed_j",
+                         "objective_value", "windows_correct"):
+                np.testing.assert_array_equal(
+                    getattr(cell.columns, name),
+                    getattr(reference.columns, name),
+                )
+            np.testing.assert_array_equal(
+                cell.battery_charge_j, reference.battery_charge_j
             )
+        assert remote.meta_payload() == local_result.meta_payload()
+        assert [json.dumps(line) for line in remote.cell_payloads()] == [
+            json.dumps(line) for line in local_result.cell_payloads()
+        ]
 
     def test_binary_stream_is_chunked_octet_stream(self, server, finished):
+        # No query: the binary stream is what /columns answers.
         connection = http.client.HTTPConnection(
             "127.0.0.1", server.port, timeout=30.0
         )
         try:
             connection.request(
-                "GET",
-                f"/v1/campaign/{finished.campaign_id}/columns?format=binary",
+                "GET", f"/v1/campaign/{finished.campaign_id}/columns"
             )
             response = connection.getresponse()
             assert response.status == 200
@@ -347,23 +357,30 @@ class TestBinaryColumnsHttp:
         decoded = FleetResult.from_binary(blob)
         assert decoded.num_cells == self.REQUEST.num_cells
 
-    def test_ndjson_stays_the_default(self, server, finished):
+    def test_query_naming_the_encoding_is_accepted(self, client, server, finished):
+        # Clients from before the one encoding name it in the query.
         connection = http.client.HTTPConnection(
             "127.0.0.1", server.port, timeout=30.0
         )
         try:
             connection.request(
-                "GET", f"/v1/campaign/{finished.campaign_id}/columns"
+                "GET",
+                f"/v1/campaign/{finished.campaign_id}/columns"
+                "?format=binary&dtype=f8&codec=zlib",
             )
             response = connection.getresponse()
             assert response.status == 200
-            assert response.getheader("Content-Type") == "application/x-ndjson"
-            response.read()
+            blob = response.read()
         finally:
             connection.close()
+        assert blob == client.campaign_columns_binary(finished.campaign_id)
 
     @pytest.mark.parametrize(
-        "query", ["format=msgpack", "format=binary&dtype=f2"]
+        "query",
+        [
+            "format=msgpack", "format=binary&dtype=f2",
+            "format=ndjson", "dtype=f4", "codec=raw",
+        ],
     )
     def test_unknown_negotiation_is_400_json_error(self, server, finished, query):
         connection = http.client.HTTPConnection(
@@ -380,18 +397,20 @@ class TestBinaryColumnsHttp:
             payload = json.loads(response.read())
         finally:
             connection.close()
-        assert "error" in payload
+        assert payload["error"]["code"] == "bad_request"
 
     def test_truncated_binary_body_raises_client_side(self, client, finished):
         blob = client.campaign_columns_binary(finished.campaign_id)
         with pytest.raises(ValueError):
             FleetResult.from_binary(blob[: len(blob) - 20])
 
-    def test_client_cli_binary_columns(self, server, finished, capsys):
+    def test_client_cli_binary_columns(
+        self, server, finished, local_result, capsys
+    ):
         code = client_main(
             [
                 "--port", str(server.port), "--timeout", "120",
-                "campaign", "columns", finished.campaign_id, "--binary",
+                "campaign", "columns", finished.campaign_id,
             ]
         )
         assert code == 0
@@ -399,6 +418,10 @@ class TestBinaryColumnsHttp:
         assert len(lines) == 1 + self.REQUEST.num_cells
         meta = json.loads(lines[0])
         assert meta["trace_hours"] == 48
+        # The lines rendered from the decoded stream are the local run's.
+        assert lines == [json.dumps(local_result.meta_payload())] + [
+            json.dumps(payload) for payload in local_result.cell_payloads()
+        ]
 
 
 class TestBinaryColumnsHttpStore(TestBinaryColumnsHttp):
@@ -421,14 +444,22 @@ class TestBinaryColumnsHttpStore(TestBinaryColumnsHttp):
         def refuse(*_args, **_kwargs):
             raise AssertionError("a journaled cell was deflated again")
 
-        monkeypatch.setattr(CampaignColumns, "to_bytes_chunks", refuse)
+        monkeypatch.setattr(CampaignColumns, "to_bytes", refuse)
         monkeypatch.setattr(metrics, "deflate_f8", refuse)
         return monkeypatch
 
     @staticmethod
     def _reencoded(blob: bytes) -> bytes:
-        """The stream's cells encoded from scratch (decoded, no frames)."""
-        return b"".join(FleetResult.from_binary(blob).to_binary_frames())
+        """The stream's cells encoded from scratch (decoded, frames dropped)."""
+        decoded = FleetResult.from_binary(blob)
+        fresh = FleetResult.from_cells(decoded.meta_payload(), [
+            (scenario_index, policy_index, CampaignResult.from_columns(
+                cell.policy_name, cell.alpha, cell.columns,
+                battery_charge_j=cell.battery_charge_j,
+            ))
+            for scenario_index, policy_index, cell in decoded
+        ])
+        return b"".join(fresh.to_binary_frames())
 
     def test_one_shard_record_per_campaign_worker(self, server, store, finished):
         record = store.job(finished.campaign_id)

@@ -32,8 +32,7 @@ import pytest
 
 import repro
 from repro.service.requests import CampaignRequest
-from repro.service.store import decode_cells
-from repro.simulation.fleet import FleetCampaign
+from repro.simulation.fleet import FleetCampaign, FleetResult, decode_cells
 
 REQUEST = CampaignRequest(hours=200, alphas=(0.5, 1.0), baselines=("DP1", "DP3"))
 
@@ -101,7 +100,7 @@ def _cell_journal_counts(store_path):
         connection.close()
     counts = {}
     for (payload,) in rows:
-        for si, pi, _result in decode_cells(payload):
+        for si, pi, _result in decode_cells(payload, journal=True):
             counts[(si, pi)] = counts.get((si, pi), 0) + 1
     return counts
 
@@ -199,12 +198,7 @@ class TestKillAndRecover:
             proc.kill()
             proc.wait(timeout=10)
 
-        lines = [line for line in raw.split(b"\n") if line.strip()]
-        from repro.simulation.fleet import FleetResult
-
-        remote = FleetResult.from_payloads(
-            json.loads(lines[0]), (json.loads(line) for line in lines[1:])
-        )
+        remote = FleetResult.from_binary(raw)
         assert remote.policy_names == local_reference.policy_names
         for si, pi, cell in remote:
             reference = local_reference.result(pi, si)

@@ -7,14 +7,13 @@ on a window timeout, oversize burst splitting), the full HTTP round trip
 client -> server -> BatchAllocator -> client with nothing beyond the
 standard library, the protocol's error mapping (400 JSON bodies for
 malformed requests, 404 for unknown endpoints -- never a 500 traceback)
-and the campaign endpoints: submit over HTTP, poll, stream chunked
-NDJSON columns back, equal to the local fleet run.
+and the campaign endpoints: submit over HTTP, poll, stream the binary
+columns back, equal to the local fleet run.
 """
 
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
 import socket
 
@@ -27,6 +26,7 @@ from repro.core.batch import BatchAllocator
 from repro.core.design_point import DesignPoint
 from repro.data.table2 import table2_design_points
 from repro.service import batcher as batcher_module
+from repro.service import server as server_module
 from repro.service.batcher import EngineRegistry, MicroBatcher, solve_batch
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import AllocationCache
@@ -40,7 +40,6 @@ from repro.service.requests import (
 )
 from repro.service.server import AllocationService, start_in_thread
 from repro.simulation.fleet import FleetCampaign, FleetResult
-from repro.simulation.metrics import CampaignColumns
 
 
 @pytest.fixture(scope="module")
@@ -540,6 +539,34 @@ class TestHttpErrorMapping:
         assert status == 400
         assert "error" in error
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n",
+            b"POST /v1/allocate HTTP/1.1\r\nContent-Length: 64\r\n\r\n{",
+        ],
+        ids=["half-head", "half-body"],
+    )
+    def test_stalled_request_is_408_and_closed(
+        self, server, payload, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10.0
+        ) as sock:
+            sock.sendall(payload)  # then nothing more, write side kept open
+            raw = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:  # the server closed the connection
+                    break
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == 408
+        assert json.loads(body)["error"]["code"] == "request_timeout"
+        client = AllocationClient(port=server.port, timeout_s=10.0)
+        assert client.health()["status"] == "ok"
+
 
 class TestCampaignCodecs:
     def test_campaign_request_round_trip(self):
@@ -585,23 +612,24 @@ class TestCampaignCodecs:
             )
 
     def test_columns_json_round_trip_is_lossless(self):
+        # The JSON lines `campaign columns` prints carry the float64
+        # columns exactly: parsing them back gives the same arrays.
         request = CampaignRequest(hours=24, alphas=(1.0,), baselines=())
         scenarios, labels, policies, trace, config = request.build()
         result = FleetCampaign(scenarios, config, scenario_labels=labels).run(
             policies, trace
         )
         columns = result.result(0).columns
-        decoded = CampaignColumns.from_json_dict(
-            json.loads(json.dumps(columns.to_json_dict()))
-        )
+        decoded = json.loads(json.dumps(columns.to_json_dict()))
+        for name in ("period_index", "objective_value", "energy_budget_j"):
+            np.testing.assert_array_equal(
+                np.asarray(decoded[name]), getattr(columns, name)
+            )
         np.testing.assert_array_equal(
-            decoded.objective_value, columns.objective_value
+            np.asarray(decoded["times_by_design_point_s"]),
+            columns.times_by_design_point_s,
         )
-        np.testing.assert_array_equal(
-            decoded.times_by_design_point_s, columns.times_by_design_point_s
-        )
-        assert decoded.design_point_names == columns.design_point_names
-        assert np.array_equal(decoded.period_index, columns.period_index)
+        assert tuple(decoded["design_point_names"]) == columns.design_point_names
 
 
 class TestCampaignHttp:
@@ -669,26 +697,6 @@ class TestCampaignHttp:
                 - reference.total_energy_consumed_j
             ) <= 1e-9
 
-    def test_stream_is_chunked_ndjson(self, server, finished):
-        submitted, _ = finished
-        connection = http.client.HTTPConnection(
-            "127.0.0.1", server.port, timeout=30.0
-        )
-        try:
-            connection.request(
-                "GET", f"/v1/campaign/{submitted.campaign_id}/columns"
-            )
-            response = connection.getresponse()
-            assert response.status == 200
-            assert response.getheader("Transfer-Encoding") == "chunked"
-            assert response.getheader("Content-Type") == "application/x-ndjson"
-            lines = [line for line in response if line.strip()]
-        finally:
-            connection.close()
-        meta = json.loads(lines[0])
-        assert meta["trace_hours"] == 48
-        assert len(lines) == 1 + self.REQUEST.num_cells
-
     def test_unknown_campaign_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.campaign_status("nope")
@@ -735,13 +743,13 @@ class TestCampaignHttp:
         assert len(lines) == 1 + payload["cells"]
         assert json.loads(lines[0])["trace_hours"] == 24
 
-    def test_fleet_result_from_payloads_refuses_partial_grids(self):
+    def test_fleet_result_from_cells_refuses_partial_grids(self):
         meta = {
             "scenario_labels": ["S0"], "policy_names": ["A", "B"],
             "alphas": [1.0, 1.0], "trace_hours": 4,
         }
         with pytest.raises(ValueError, match="unfilled"):
-            FleetResult.from_payloads(meta, [])
+            FleetResult.from_cells(meta, [])
 
 
 class TestCampaignHousekeeping:
@@ -898,7 +906,7 @@ class TestCampaignDelete:
         # Status, columns and a second delete all 404 now.
         for call in (
             lambda: client.campaign_status(submitted.campaign_id),
-            lambda: list(client.campaign_payloads(submitted.campaign_id)),
+            lambda: client.campaign_columns_binary(submitted.campaign_id),
             lambda: client.delete_campaign(submitted.campaign_id),
         ):
             with pytest.raises(ServiceError) as excinfo:

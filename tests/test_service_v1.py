@@ -280,7 +280,7 @@ class TestRetiredKernelField:
         with start_in_thread(service) as handle:
             client = AllocationClient(port=handle.port, timeout_s=120.0)
             assert client.campaign_status("c1").status == "done"
-            served = client.campaign_result("c1", binary=True)
+            served = client.campaign_result("c1")
         service.close()
         for si, pi, cell in served:
             np.testing.assert_array_equal(

@@ -5,11 +5,14 @@ re-opens), exactly-once idempotent submission, the advisory lease
 protocol (including dead-owner adoption), processes opening one fresh
 store at once, and corruption handling: a torn journal tail is dropped
 cleanly and a file SQLite cannot read raises :class:`StoreError` instead
-of poisoning recovery.
+of poisoning recovery, a CRC-valid shard record that does not decode
+raises :class:`StoreError` (HTTP 503) rather than a ``KeyError``, and
+journals keep replaying bit-exactly through the one campaign codec.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import socket
@@ -22,15 +25,12 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.service.client import AllocationClient, ServiceError
 from repro.service.requests import CampaignRequest
-from repro.service.store import (
-    CampaignStore,
-    StoreError,
-    decode_cells,
-    encode_cells,
-)
+from repro.service.server import AllocationService, start_in_thread
+from repro.service.store import CampaignStore, StoreError
 from repro.simulation import metrics
-from repro.simulation.fleet import FleetCampaign
+from repro.simulation.fleet import FleetCampaign, decode_cells, encode_cells
 
 REQUEST = CampaignRequest(hours=24, alphas=(1.0,), baselines=("DP1",))
 
@@ -400,7 +400,56 @@ class TestCorruption:
             store.submit(REQUEST)
 
 
-# --- cell frame codec -----------------------------------------------------------
+# --- malformed shard records ---------------------------------------------------
+#: CRC-valid ``shard_done`` cell headers that do not decode.
+BAD_SHARD_HEADERS = {
+    "no-policy-index": {
+        "scenario_index": 0, "policy_name": "REAP", "alpha": 1.0,
+        "has_battery": False,
+    },
+    "json-list": [0, 0, "REAP", 1.0],
+}
+
+
+def _bad_shard_payload(header) -> bytes:
+    """One cell record whose header is ``header``, with an empty columns frame."""
+    blob = json.dumps(header).encode("utf-8")
+    return struct.pack("<Q", len(blob)) + blob + struct.pack("<Q", 0)
+
+
+@pytest.mark.parametrize("header", BAD_SHARD_HEADERS.values(), ids=BAD_SHARD_HEADERS)
+class TestMalformedShardHeaders:
+    def test_replay_raises_store_error(self, store_path, header):
+        with CampaignStore(store_path) as store:
+            job_id, _ = store.submit(REQUEST)
+            store._append(job_id, "shard_done", _bad_shard_payload(header))
+            for call in (store.job, store.done_cells, store.events):
+                with pytest.raises(StoreError, match="malformed"):
+                    call(job_id)
+            with pytest.raises(StoreError, match="malformed"):
+                store.jobs()
+
+    def test_lookup_answers_503(self, store_path, header):
+        service = AllocationService(
+            window_s=0.001, campaign_workers=1, store=store_path
+        )
+        try:
+            with start_in_thread(service) as handle:
+                job_id, _ = service.store.submit(REQUEST)
+                service.store._append(
+                    job_id, "shard_done", _bad_shard_payload(header)
+                )
+                client = AllocationClient(port=handle.port, timeout_s=30.0)
+                for call in (client.campaign_status, client.campaign_columns_binary):
+                    with pytest.raises(ServiceError) as excinfo:
+                        call(job_id)
+                    assert excinfo.value.status == 503
+                    assert excinfo.value.code == "store_unavailable"
+        finally:
+            service.close()
+
+
+# --- the campaign codec in the journal -----------------------------------------
 class TestCellCodec:
     def test_round_trip_is_bit_exact(self, fleet_result):
         cells = _cells(fleet_result)
@@ -455,7 +504,50 @@ class TestCellCodec:
         monkeypatch.setattr(metrics, "deflate_f8", no_deflate)
         assert encode_cells(decoded) == payload
 
-    def test_truncated_payload_raises(self, fleet_result):
+    def test_journals_without_battery_len_replay_bit_exactly(
+        self, store_path, fleet_result
+    ):
+        # Journals written before cell headers carried battery_len: the
+        # header had five fields and the frames were the same.
+        parts = []
+        for si, pi, cell in fleet_result:
+            header = json.dumps({
+                "scenario_index": si, "policy_index": pi,
+                "policy_name": cell.policy_name, "alpha": float(cell.alpha),
+                "has_battery": True,
+            }, separators=(",", ":")).encode("utf-8")
+            for frame in (header, *cell.wire_frames()):
+                parts += (struct.pack("<Q", len(frame)), frame)
+        payload = b"".join(parts)
+        with pytest.raises(ValueError, match="battery frame has"):
+            decode_cells(payload)  # the wire still insists on the length
+        with CampaignStore(store_path) as store:
+            job_id, _ = store.submit(REQUEST)
+            store.start(job_id, trace_hours=fleet_result.trace_hours)
+            store._append(job_id, "shard_done", payload)
+            store.finish(job_id, fleet_result)
+        with CampaignStore(store_path) as reopened:
+            loaded = reopened.load_result(job_id)
+        for si, pi, cell in loaded:
+            reference = fleet_result.result(pi, si)
+            assert cell.wire_frames() == reference.wire_frames()
+            for name in ("energy_budget_j", "objective_value", "windows_total"):
+                np.testing.assert_array_equal(
+                    getattr(cell.columns, name), getattr(reference.columns, name)
+                )
+            np.testing.assert_array_equal(
+                cell.battery_charge_j, reference.battery_charge_j
+            )
+        assert b"".join(loaded.to_binary_frames()) == b"".join(
+            fleet_result.to_binary_frames()
+        )
+
+    def test_truncated_payload_raises(self, store_path, fleet_result):
         payload = encode_cells(_cells(fleet_result))
-        with pytest.raises(StoreError, match="truncated"):
+        with pytest.raises(ValueError, match="truncated"):
             decode_cells(payload[: len(payload) - 7])
+        with CampaignStore(store_path) as store:
+            job_id, _ = store.submit(REQUEST)
+            store._append(job_id, "shard_done", payload[: len(payload) - 7])
+            with pytest.raises(StoreError, match="truncated"):
+                store.done_cells(job_id)
