@@ -140,7 +140,7 @@ def assert_exactly_once(store: Path) -> None:
         connection.close()
     counts: dict = {}
     for (payload,) in rows:
-        for scenario, policy, _cell in decode_cells(payload, journal=True):
+        for scenario, policy, _cell in decode_cells(payload):
             counts[(scenario, policy)] = counts.get((scenario, policy), 0) + 1
     doubled = {key: count for key, count in counts.items() if count != 1}
     if not counts or doubled:

@@ -299,7 +299,9 @@ class AllocationClient:
         """``GET /campaign/<id>/columns``: the binary columns stream.
 
         The returned bytes decode with
-        :meth:`repro.simulation.fleet.FleetResult.from_binary`.
+        :meth:`repro.simulation.fleet.FleetResult.from_binary`.  The query
+        names the one encoding, so servers that still answer NDJSON by
+        default send the binary stream too.
         """
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout_s
@@ -307,7 +309,7 @@ class AllocationClient:
         try:
             connection.request(
                 "GET",
-                f"/v1/campaign/{campaign_id}/columns",
+                f"/v1/campaign/{campaign_id}/columns?format=binary",
                 headers=self._trace_headers(),
             )
             response = connection.getresponse()

@@ -75,9 +75,10 @@ import threading
 import time
 import uuid
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import tracing
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -160,6 +161,18 @@ CREATE INDEX IF NOT EXISTS spans_trace ON spans (trace_id, id);
 
 class StoreError(RuntimeError):
     """The store file is unusable (unreadable, corrupt, or incomplete)."""
+
+
+@contextmanager
+def _malformed_shard(seq: int) -> Iterator[None]:
+    """Raise the campaign codec's :class:`ValueError` on the ``shard_done``
+    record ``seq`` as a :class:`StoreError`."""
+    try:
+        yield
+    except ValueError as error:
+        raise StoreError(
+            f"journal record {seq} shard payload is malformed: {error}"
+        ) from error
 
 
 @dataclass
@@ -572,10 +585,11 @@ class CampaignStore:
                 )
                 record.status = "running"
             elif kind == "shard_done":
+                from repro.simulation.fleet import cell_ids
+
                 record.shard_seqs.append(int(seq))
-                record.done_cells.extend(
-                    self._decode_shard(seq, payload, ids_only=True)
-                )
+                with _malformed_shard(seq):
+                    record.done_cells.extend(cell_ids(payload))
             elif kind == "finish":
                 record.result_meta = self._decode_json(seq, payload)
                 record.status = "done"
@@ -601,23 +615,6 @@ class CampaignStore:
             raise StoreError(f"journal record {seq} payload is not an object")
         return body
 
-    @staticmethod
-    def _decode_shard(seq: int, payload: bytes, ids_only: bool = False) -> list:
-        """One ``shard_done`` record's cells, or only their (scenario,
-        policy) ids, through the campaign codec
-        (:func:`repro.simulation.fleet.decode_cells`); a malformed payload
-        raises :class:`StoreError`."""
-        from repro.simulation.fleet import cell_ids, decode_cells
-
-        try:
-            if ids_only:
-                return cell_ids(payload)
-            return decode_cells(payload, journal=True)
-        except ValueError as error:
-            raise StoreError(
-                f"journal record {seq} shard payload is malformed: {error}"
-            ) from error
-
     def done_cells(self, job_id: str) -> Dict[Tuple[int, int], Any]:
         """Decode every journaled shard of one job into grid cells.
 
@@ -625,6 +622,8 @@ class CampaignStore:
         only arise from a crash between a shard's completion and its
         in-memory accounting, and both copies are bit-identical anyway.
         """
+        from repro.simulation.fleet import decode_cells
+
         with self._lock:
             db = self._connection()
             try:
@@ -635,13 +634,13 @@ class CampaignStore:
                 ).fetchall()
             except sqlite3.DatabaseError as error:
                 raise StoreError(f"shard replay failed: {error}") from error
-        return {
-            (scenario_index, policy_index): result
-            for seq, payload in rows
-            for scenario_index, policy_index, result in self._decode_shard(
-                seq, payload
-            )
-        }
+        cells: Dict[Tuple[int, int], Any] = {}
+        for seq, payload in rows:
+            with _malformed_shard(seq):
+                decoded = decode_cells(payload)
+            for scenario_index, policy_index, result in decoded:
+                cells[(scenario_index, policy_index)] = result
+        return cells
 
     def load_result(self, job_id: str):
         """Reassemble a finished job's :class:`FleetResult` from the journal.
@@ -806,6 +805,8 @@ class CampaignStore:
         surface their cell ids from the frame headers without decoding
         any column payloads, so the timeline stays cheap on big jobs.
         """
+        from repro.simulation.fleet import cell_ids
+
         with self._lock:
             db = self._connection()
             try:
@@ -820,11 +821,9 @@ class CampaignStore:
         for seq, kind, payload, created_at, owner in rows:
             details: Dict[str, Any] = {}
             if kind == "shard_done":
-                details["cells"] = [
-                    [scenario_index, policy_index]
-                    for scenario_index, policy_index
-                    in self._decode_shard(seq, payload, ids_only=True)
-                ]
+                with _malformed_shard(seq):
+                    ids = cell_ids(payload)
+                details["cells"] = [list(cell_id) for cell_id in ids]
             elif kind in ("submit", "finish"):
                 pass  # request/meta payloads are status-endpoint material
             else:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -50,7 +49,7 @@ from repro.harvesting.solar_cell import HarvestScenario
 from repro.harvesting.traces import SolarTrace
 from repro.planning.scan import PlanScan
 from repro.simulation.device import DeviceConfig, DeviceSimulator
-from repro.simulation.metrics import CampaignColumns, CampaignResult
+from repro.simulation.metrics import CampaignColumns, CampaignResult, inflate
 from repro.simulation.policies import PlanningPolicy, Policy
 
 #: Leading magic of the binary campaign wire format (see
@@ -183,18 +182,14 @@ def _decode_cell(
     written before headers carried ``battery_len`` lack it; their cells
     all come from :meth:`FleetCampaign.run`, whose trajectories hold the
     initial charge plus one entry per period, so with ``journal`` a
-    missing length means ``num_periods + 1``.
+    missing length means ``num_periods + 1``.  Without it (the wire,
+    :meth:`FleetResult.from_binary`) the length is required.
     """
     head, columns_frame, battery_frame, offset = _read_cell(blob, offset, index)
     columns = CampaignColumns.from_bytes(columns_frame)
     battery = None
     if battery_frame is not None:
-        try:
-            battery_bytes = zlib.decompress(battery_frame)
-        except zlib.error as error:
-            raise ValueError(
-                f"binary cell {index} battery frame truncated or corrupt: {error}"
-            ) from error
+        battery_bytes = inflate(battery_frame, f"binary cell {index} battery frame")
         battery_len = head.get(
             "battery_len", columns.num_periods + 1 if journal else 0
         )
@@ -223,18 +218,18 @@ def encode_cells(cells: Iterable[Cell]) -> bytes:
     return b"".join(encode_cell(*cell) for cell in cells)
 
 
-def decode_cells(blob: bytes, journal: bool = False) -> List[Cell]:
+def decode_cells(blob: bytes) -> List[Cell]:
     """Decode every record of an :func:`encode_cells` payload.
 
     Raises :class:`ValueError`, and only that, on anything malformed.
     The decoded cells equal the encoded ones to the last bit and keep
-    their frames, so encoding them again deflates nothing.  ``journal``
-    reads records journaled before headers carried ``battery_len``.
+    their frames, so encoding them again deflates nothing.  Records
+    journaled before headers carried ``battery_len`` decode too.
     """
     cells: List[Cell] = []
     offset = 0
     while offset < len(blob):
-        cell, offset = _decode_cell(blob, offset, len(cells), journal)
+        cell, offset = _decode_cell(blob, offset, len(cells), journal=True)
         cells.append(cell)
     return cells
 

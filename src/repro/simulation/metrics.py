@@ -244,12 +244,7 @@ class CampaignColumns:
             raise ValueError(
                 "malformed binary columns header: bad design_point_names"
             )
-        try:
-            payload = zlib.decompress(blob[8 + header_len:])
-        except zlib.error as error:
-            raise ValueError(
-                f"binary columns frame truncated or corrupt: {error}"
-            ) from error
+        payload = inflate(blob[8 + header_len:], "binary columns frame")
         offset = 0
 
         def take(wire_dtype: str, count: int) -> np.ndarray:
@@ -308,6 +303,27 @@ class CampaignColumns:
 def deflate_f8(array: np.ndarray) -> bytes:
     """One array as a zlib-deflated ``<f8`` buffer (battery frames)."""
     return zlib.compress(np.ascontiguousarray(array, dtype="<f8"), ZLIB_LEVEL)
+
+
+def inflate(frame: bytes, what: str) -> bytes:
+    """Inflate one deflated payload that must fill ``frame`` exactly.
+
+    Raises :class:`ValueError` when the deflate stream is corrupt, ends
+    early, or is followed by bytes inside the frame, which
+    ``zlib.decompress`` would silently ignore.
+    """
+    inflater = zlib.decompressobj()
+    try:
+        payload = inflater.decompress(frame)
+    except zlib.error as error:
+        raise ValueError(f"{what} truncated or corrupt: {error}") from error
+    if not inflater.eof:
+        raise ValueError(f"{what} truncated: the deflate stream ends early")
+    if inflater.unused_data:
+        raise ValueError(
+            f"{what} has {len(inflater.unused_data)} trailing bytes"
+        )
+    return payload
 
 
 #: A cell's float64/zlib frames: (columns frame, battery frame or None).
@@ -554,4 +570,5 @@ __all__ = [
     "ZLIB_LEVEL",
     "compare_campaigns",
     "deflate_f8",
+    "inflate",
 ]

@@ -127,6 +127,9 @@ class TestColumnsCodec:
             CampaignColumns.from_bytes(head + zlib.compress(payload[:-16]))
         with pytest.raises(ValueError, match="trailing"):
             CampaignColumns.from_bytes(head + zlib.compress(payload + b"\x00"))
+        # zlib.decompress would ignore bytes after the deflate stream.
+        with pytest.raises(ValueError, match="trailing"):
+            CampaignColumns.from_bytes(good + b"\x00")
 
     def test_tampered_header_fields_are_rejected(self, columns):
         good = columns.to_bytes()
@@ -216,6 +219,26 @@ class TestFleetResultBinaryStream:
         for header in [dict(head, battery_len=n) for n in wrong] + [untagged]:
             with pytest.raises(ValueError, match="battery frame has"):
                 FleetResult.from_binary(with_header(header))
+
+    @pytest.mark.parametrize("frame", ["columns", "battery"])
+    def test_bytes_after_a_deflate_stream_are_rejected(self, local_result, frame):
+        # One byte more inside the first cell's columns or battery frame:
+        # zlib.decompress would ignore it.
+        blob = b"".join(local_result.to_binary_frames())
+        offset = len(CAMPAIGN_BINARY_MAGIC)
+        skipped = ("meta", "header") if frame == "columns" else (
+            "meta", "header", "columns"
+        )
+        for _ in skipped:
+            offset += 8 + struct.unpack_from("<Q", blob, offset)[0]
+        size = struct.unpack_from("<Q", blob, offset)[0]
+        padded = (
+            blob[:offset] + struct.pack("<Q", size + 1)
+            + blob[offset + 8:offset + 8 + size] + b"\x00"
+            + blob[offset + 8 + size:]
+        )
+        with pytest.raises(ValueError, match=f"{frame} frame has 1 trailing bytes"):
+            FleetResult.from_binary(padded)
 
     @pytest.fixture(scope="class")
     def two_cell_stream(self):
@@ -374,6 +397,24 @@ class TestBinaryColumnsHttp:
         finally:
             connection.close()
         assert blob == client.campaign_columns_binary(finished.campaign_id)
+
+    def test_client_names_the_encoding_for_older_servers(
+        self, client, finished, monkeypatch
+    ):
+        # Servers before the one encoding answered NDJSON unless the
+        # query asked for format=binary, so the client always asks.
+        paths = []
+        request = http.client.HTTPConnection.request
+
+        def recording(connection, method, url, *args, **kwargs):
+            paths.append(url)
+            return request(connection, method, url, *args, **kwargs)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", recording)
+        client.campaign_columns_binary(finished.campaign_id)
+        assert paths == [
+            f"/v1/campaign/{finished.campaign_id}/columns?format=binary"
+        ]
 
     @pytest.mark.parametrize(
         "query",

@@ -100,7 +100,7 @@ def _cell_journal_counts(store_path):
         connection.close()
     counts = {}
     for (payload,) in rows:
-        for si, pi, _result in decode_cells(payload, journal=True):
+        for si, pi, _result in decode_cells(payload):
             counts[(si, pi)] = counts.get((si, pi), 0) + 1
     return counts
 

@@ -30,7 +30,12 @@ from repro.service.requests import CampaignRequest
 from repro.service.server import AllocationService, start_in_thread
 from repro.service.store import CampaignStore, StoreError
 from repro.simulation import metrics
-from repro.simulation.fleet import FleetCampaign, decode_cells, encode_cells
+from repro.simulation.fleet import (
+    FleetCampaign,
+    FleetResult,
+    decode_cells,
+    encode_cells,
+)
 
 REQUEST = CampaignRequest(hours=24, alphas=(1.0,), baselines=("DP1",))
 
@@ -519,8 +524,11 @@ class TestCellCodec:
             for frame in (header, *cell.wire_frames()):
                 parts += (struct.pack("<Q", len(frame)), frame)
         payload = b"".join(parts)
+        frames = fleet_result.to_binary_frames()
+        magic_and_meta = next(frames) + next(frames)
         with pytest.raises(ValueError, match="battery frame has"):
-            decode_cells(payload)  # the wire still insists on the length
+            # The wire insists on the length; only the journal may lack it.
+            FleetResult.from_binary(magic_and_meta + payload)
         with CampaignStore(store_path) as store:
             job_id, _ = store.submit(REQUEST)
             store.start(job_id, trace_hours=fleet_result.trace_hours)
